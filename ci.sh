@@ -16,6 +16,10 @@ fi
 echo "== tier-1 gate: tests =="
 cargo test -q
 
+echo "== workspace tests (vendored crates excluded) =="
+cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_json
+
 echo "== rustfmt =="
 cargo fmt --check
 
@@ -69,7 +73,8 @@ grep -q "quarantined: memberships task 1" "$scratch/degraded.out"
 grep -q "sweep status: degraded" "$scratch/degraded.out"
 
 # 2. Kill after two checkpoint records (exit 70), then --resume: the
-#    membership counts must be bit-identical to an uninterrupted run.
+#    membership counts and the lattice read from the journalled
+#    separation mask must be bit-identical to an uninterrupted run.
 ccmm sweep --bound 4 --canonical --threads 2 > "$scratch/clean.out" 2>/dev/null
 rc=0
 ccmm sweep --bound 4 --canonical --threads 2 --ckpt "$scratch/sweep.ckpt" \
@@ -78,14 +83,18 @@ ccmm sweep --bound 4 --canonical --threads 2 --ckpt "$scratch/sweep.ckpt" \
 ccmm sweep --bound 4 --canonical --threads 2 --resume "$scratch/sweep.ckpt" \
     > "$scratch/resumed.out" 2>/dev/null
 counts() { grep -A6 "^memberships over" "$1" | tail -6; }
+lattice() { grep -A7 "^lattice \[" "$1" | sed 's/ \[[^]]*\]//'; }
 diff <(counts "$scratch/clean.out") <(counts "$scratch/resumed.out") \
     || { echo "resumed counts differ from the uninterrupted run"; exit 1; }
+diff <(lattice "$scratch/clean.out") <(lattice "$scratch/resumed.out") \
+    || { echo "resumed lattice differs from the uninterrupted run"; exit 1; }
 
 echo "== lane engine smoke: scalar parity, thread determinism, kill/resume =="
 # The lane64 engine must produce bit-identical membership counts to the
 # scalar canonical engine at bound 5, at 1, 2, and 4 threads — and a
-# lane run killed mid-flight must resume to the same counts. Debug-build
-# bound-5 sweeps are slow, so fast mode drops to bound 4 (same paths).
+# lane run killed mid-flight must resume to the same counts and lattice.
+# Debug-build bound-5 sweeps are slow, so fast mode drops to bound 4
+# (same paths).
 lane_bound=5
 [[ "$fast" == "fast" ]] && lane_bound=4
 ccmm sweep --bound "$lane_bound" --canonical --threads 1 \
@@ -105,6 +114,8 @@ ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
     --resume "$scratch/lane.ckpt" > "$scratch/lane-resumed.out" 2>/dev/null
 diff <(counts "$scratch/lane-scalar.out") <(counts "$scratch/lane-resumed.out") \
     || { echo "resumed lane64 counts differ from the scalar run"; exit 1; }
+diff <(lattice "$scratch/lane-scalar.out") <(lattice "$scratch/lane-resumed.out") \
+    || { echo "resumed lane64 lattice differs from the scalar run"; exit 1; }
 
 echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
 # The lane Δ* fixpoint journals survivor masks to <ckpt>.fixpoint. The
@@ -151,10 +162,11 @@ ccmm stress --seed 20260808 --iters 200 --threads 4 > "$scratch/stress.out" \
 grep -q "completed 200/200" "$scratch/stress.out"
 
 echo "== telemetry smoke: counters deterministic across thread counts =="
-# --metrics counter values for the memberships and fixpoint phases must
-# be bit-identical at 1, 2, and 4 threads (DESIGN.md §9); the lattice and
-# constructibility phases early-exit and are coverage-dependent, so they
-# are excluded. The trace file must be valid JSONL.
+# --metrics counter values for the memberships, lattice and fixpoint
+# phases must be bit-identical at 1, 2, and 4 threads (DESIGN.md §9); the
+# lattice is read off the memberships pass, so its counters are all zero.
+# The constructibility phase early-exits and is coverage-dependent, so it
+# is excluded. The trace file must be valid JSONL.
 for t in 1 2 4; do
     ccmm sweep --bound 4 --canonical --threads "$t" \
         --metrics "$scratch/metrics-$t.json" --trace "$scratch/trace-$t.jsonl" \
@@ -163,7 +175,8 @@ for t in 1 2 4; do
         || { echo "metrics-$t.json is not valid JSON"; exit 1; }
     jq -es . "$scratch/trace-$t.jsonl" > /dev/null \
         || { echo "trace-$t.jsonl is not valid JSONL"; exit 1; }
-    jq -S '[.phases[] | select(.name == "memberships" or .name == "fixpoint")
+    jq -S '[.phases[] | select(.name == "memberships" or .name == "lattice"
+                                  or .name == "fixpoint")
             | {name, counters}]' "$scratch/metrics-$t.json" > "$scratch/det-$t.json"
 done
 pairs=$(jq '.phases[0].counters.pairs_checked' "$scratch/metrics-1.json")
@@ -179,7 +192,8 @@ done
 for t in 1 2 4; do
     ccmm sweep --bound 4 --canonical --engine lane64 --threads "$t" \
         --metrics "$scratch/lane-metrics-$t.json" > /dev/null 2>&1
-    jq -S '[.phases[] | select(.name == "memberships" or .name == "fixpoint")
+    jq -S '[.phases[] | select(.name == "memberships" or .name == "lattice"
+                                  or .name == "fixpoint")
             | {name, counters}]' "$scratch/lane-metrics-$t.json" > "$scratch/lane-det-$t.json"
 done
 pop=$(jq '[.phases[] | select(.name == "fixpoint")
@@ -188,6 +202,12 @@ pop=$(jq '[.phases[] | select(.name == "fixpoint")
 for t in 2 4; do
     diff "$scratch/lane-det-1.json" "$scratch/lane-det-$t.json" \
         || { echo "lane fixpoint counters drifted at $t threads"; exit 1; }
+done
+# The lattice is read off the memberships pass, so the lattice phase
+# makes no membership checks at all: every counter is zero (omitted).
+for f in "$scratch/metrics-1.json" "$scratch/lane-metrics-1.json"; do
+    jq -e '[.phases[] | select(.name == "lattice")] | .[0].counters == {}' "$f" > /dev/null \
+        || { echo "the lattice phase made membership checks ($f)"; exit 1; }
 done
 echo "== watch smoke: streaming LC check, deadline kill + replay resume, gate =="
 # A fib:16 trace streams clean through the lean BACKER executor with the

@@ -10,8 +10,8 @@
 //! are engine ratios, not scheduling artifacts.
 
 use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::CheckScratch;
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::sweep::supervisor::{self, sweep_supervised, Scalar, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::{MemoryModel, Model};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -23,23 +23,11 @@ const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::W
 /// Weighted membership counts over the universe — the `ccmm sweep`
 /// phase-1 workload.
 fn memberships(u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
-        u,
-        cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
-            let _ = for_each_observer(c, |phi| {
-                for m in &MODELS {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
-                }
-                ControlFlow::Continue(())
-            });
-        },
-    )
-    .expect_complete("bench memberships sweep")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
+    supervisor::memberships(Scalar, &MODELS, u, cfg, &Supervisor::none(), None, None)
+        .expect_complete("bench memberships sweep")
+        .per_model
+        .iter()
+        .sum()
 }
 
 fn bench_enumeration(c: &mut Criterion) {
@@ -67,11 +55,15 @@ fn bench_scratch(c: &mut Criterion) {
     let cfg = SweepConfig::serial();
     group.bench_function("alloc_per_pair", |b| {
         b.iter(|| {
-            let n: u64 = sweep_computations(
+            let n: u64 = sweep_supervised(
                 &u,
                 &cfg,
+                &Supervisor::none(),
+                None,
+                None,
                 || 0u64,
-                |acc, _, c, _| {
+                || (),
+                |acc, _, _, c, _| {
                     let _ = for_each_observer(c, |phi| {
                         for m in &MODELS {
                             *acc += m.contains(c, phi) as u64;
@@ -80,9 +72,7 @@ fn bench_scratch(c: &mut Criterion) {
                     });
                 },
             )
-            .expect_complete("bench alloc sweep")
-            .into_iter()
-            .sum();
+            .expect_complete("bench alloc sweep");
             black_box(n)
         })
     });

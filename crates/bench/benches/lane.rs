@@ -9,72 +9,24 @@
 
 use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
-use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, Nn};
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::model::Nn;
+use ccmm_core::sweep::supervisor::{memberships, Kernel, Lane64, Scalar, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
-use ccmm_core::{MemoryModel, Model};
+use ccmm_core::Model;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::ops::ControlFlow;
 
 const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
 
-/// The `ccmm sweep` phase-1 workload on the scalar-scratch path.
-fn memberships_scalar(u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
-        u,
-        cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
-            let _ = for_each_observer(c, |phi| {
-                for m in &MODELS {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
-                }
-                ControlFlow::Continue(())
-            });
-        },
-    )
-    .expect_complete("bench scalar memberships")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
-}
-
-/// The same workload through the lane engine: observers packed 64 per
-/// word in enumeration order, verdict masks popcounted against weights.
-fn memberships_lanes(u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
-        u,
-        cfg,
-        || (0u64, LanePack::new(), LaneScratch::new()),
-        |acc, _, c, w| {
-            let (total, pack, lanes) = acc;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                let used = pack.used();
-                for m in &MODELS {
-                    let verdict = m.contains_lanes(c, pack, lanes) & used;
-                    *total += w * u64::from(verdict.count_ones());
-                }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-            if !pack.is_empty() {
-                flush(pack, lanes);
-            }
-        },
-    )
-    .expect_complete("bench lane memberships")
-    .into_iter()
-    .map(|(n, _, _)| n)
-    .sum()
+/// The `ccmm sweep` phase-1 workload through `kernel`: total weighted
+/// memberships over the six models.
+fn memberships_with<K: Kernel>(kernel: K, u: &Universe, cfg: &SweepConfig) -> u64 {
+    memberships(kernel, &MODELS, u, cfg, &Supervisor::none(), None, None)
+        .expect_complete("bench memberships")
+        .per_model
+        .iter()
+        .sum()
 }
 
 fn bench_lane_engine(c: &mut Criterion) {
@@ -84,14 +36,14 @@ fn bench_lane_engine(c: &mut Criterion) {
         let u = Universe::new(nodes, locs);
         let cfg = SweepConfig::serial().canonical(true);
         let id = format!("{nodes}n{locs}l");
-        let scalar = memberships_scalar(&u, &cfg);
-        let lane = memberships_lanes(&u, &cfg);
+        let scalar = memberships_with(Scalar, &u, &cfg);
+        let lane = memberships_with(Lane64, &u, &cfg);
         assert_eq!(scalar, lane, "engines disagree at {id}; the ratio would be meaningless");
         group.bench_function(BenchmarkId::new("scalar-scratch", &id), |b| {
-            b.iter(|| black_box(memberships_scalar(&u, &cfg)))
+            b.iter(|| black_box(memberships_with(Scalar, &u, &cfg)))
         });
         group.bench_function(BenchmarkId::new("lane64", &id), |b| {
-            b.iter(|| black_box(memberships_lanes(&u, &cfg)))
+            b.iter(|| black_box(memberships_with(Lane64, &u, &cfg)))
         });
     }
     group.finish();

@@ -9,9 +9,10 @@
 
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::relation::compare;
-use ccmm_core::sweep::{compare_par, SweepConfig};
+use ccmm_core::sweep::supervisor::{self, Scalar, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
-use ccmm_core::{Lc, Nn};
+use ccmm_core::{Model, Nn};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -20,11 +21,15 @@ fn bench_compare(c: &mut Criterion) {
     group.sample_size(10);
     let u = Universe::new(4, 1);
     group.bench_function(BenchmarkId::new("serial", 4), |b| {
-        b.iter(|| black_box(compare(&Lc, &Nn::default(), &u).pairs_checked))
+        b.iter(|| black_box(compare(&Model::Lc, &Model::Nn, &u).pairs_checked))
     });
     let cfg = SweepConfig::from_env();
     group.bench_function(BenchmarkId::new(format!("parallel_t{}", cfg.threads), 4), |b| {
-        b.iter(|| black_box(compare_par(&Lc, &Nn::default(), &u, &cfg).pairs_checked))
+        b.iter(|| {
+            let none = Supervisor::none();
+            let cmp = supervisor::compare(Scalar, &Model::Lc, &Model::Nn, &u, &cfg, &none);
+            black_box(cmp.expect_complete("bench compare").pairs_checked)
+        })
     });
     group.finish();
 }

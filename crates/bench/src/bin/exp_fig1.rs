@@ -15,7 +15,8 @@
 use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::Table;
 use ccmm_core::relation::Relation;
-use ccmm_core::sweep::{compare_par, SweepConfig};
+use ccmm_core::sweep::supervisor::{self, Scalar, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::Location;
 use ccmm_core::{Computation, Lc, MemoryModel, Model, ObserverFunction, Op, Sc};
@@ -25,7 +26,10 @@ fn main() {
     let u = Universe::new(4, 1);
     let cfg = SweepConfig::from_env();
     let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
-    let compare = |a: &Model, b: &Model, u: &Universe| compare_par(a, b, u, &cfg);
+    let compare = |a: &Model, b: &Model, u: &Universe| {
+        supervisor::compare(Scalar, a, b, u, &cfg, &Supervisor::none())
+            .expect_complete("E1 comparison")
+    };
 
     println!(
         "== E1: pairwise model relations (all computations ≤ 4 nodes, 1 location; {} threads) ==\n",
@@ -103,7 +107,8 @@ fn main() {
 
     // Also check SC ⊆ LC holds on a small 2-location universe.
     let u2 = Universe::new(3, 2);
-    let cmp = compare_par(&Sc, &Lc, &u2, &cfg);
+    let cmp = supervisor::compare(Scalar, &Model::Sc, &Model::Lc, &u2, &cfg, &Supervisor::none())
+        .expect_complete("SC ⊆ LC at two locations");
     assert!(cmp.a_only.is_none(), "SC ⊆ LC must hold");
     println!(
         "SC ⊆ LC over all computations ≤ 3 nodes, 2 locations: ✓ ({} pairs checked)",
@@ -147,8 +152,9 @@ fn main() {
         pairs_checked,
         0,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("\nsweep timing appended to {path}"),
+    let path = report::bench_json_path();
+    match report::emit(&path, std::slice::from_ref(&record)) {
+        Ok(()) => println!("\nsweep timing appended to {path}"),
         Err(e) => eprintln!("\ncould not write sweep timing: {e}"),
     }
 

@@ -70,8 +70,9 @@ fn main() {
             wn_star.passes,
         ),
     ];
-    match report::emit(&records) {
-        Ok(path) => println!("sweep timings appended to {path}\n"),
+    let path = report::bench_json_path();
+    match report::emit(&path, &records) {
+        Ok(()) => println!("sweep timings appended to {path}\n"),
         Err(e) => eprintln!("could not write sweep timings: {e}\n"),
     }
 

@@ -12,11 +12,26 @@
 
 use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::{mark, Table};
-use ccmm_core::sweep::{
-    check_complete_par, check_constructible_aug_par, check_monotonic_par, SweepConfig,
+use ccmm_core::sweep::supervisor::{
+    check_complete_supervised, check_constructible_aug_supervised, check_monotonic_supervised,
+    Supervisor,
 };
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::Model;
+
+/// Whether `model` is complete, monotonic and constructible: the three
+/// property sweeps (the last at `cons`), each finding no witness.
+fn properties(model: &Model, u: &Universe, cons: &Universe, cfg: &SweepConfig) -> [bool; 3] {
+    let none = Supervisor::none();
+    [
+        check_complete_supervised(model, u, cfg, &none).expect_complete("completeness").is_none(),
+        check_monotonic_supervised(model, u, cfg, &none).expect_complete("monotonicity").is_none(),
+        check_constructible_aug_supervised(model, cons, cfg, &none)
+            .expect_complete("constructibility")
+            .is_none(),
+    ]
+}
 
 fn main() {
     // Completeness and monotonicity at a 4-node bound; constructibility
@@ -34,9 +49,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut t = Table::new(["model", "complete", "monotonic", "constructible", "paper"]);
     for m in [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww, Model::Any] {
-        let complete = check_complete_par(&m, &u4, &cfg).is_ok();
-        let monotonic = check_monotonic_par(&m, &u4, &cfg).is_ok();
-        let constructible = check_constructible_aug_par(&m, &u5, &cfg).is_ok();
+        let [complete, monotonic, constructible] = properties(&m, &u4, &u5, &cfg);
         let paper = m.paper_says_constructible();
         t.row([
             m.name().to_string(),
@@ -59,11 +72,12 @@ fn main() {
     println!("cross-check at ≤3 nodes, 2 locations:");
     let mut t2 = Table::new(["model", "complete", "monotonic", "constructible(≤3)"]);
     for m in [Model::Sc, Model::Lc, Model::Nn, Model::Ww] {
+        let [complete, monotonic, constructible] = properties(&m, &u32, &u32, &cfg);
         t2.row([
             m.name().to_string(),
-            mark(check_complete_par(&m, &u32, &cfg).is_ok()).to_string(),
-            mark(check_monotonic_par(&m, &u32, &cfg).is_ok()).to_string(),
-            mark(check_constructible_aug_par(&m, &u32, &cfg).is_ok()).to_string(),
+            mark(complete).to_string(),
+            mark(monotonic).to_string(),
+            mark(constructible).to_string(),
         ]);
     }
     println!("{}", t2.render());
@@ -77,8 +91,9 @@ fn main() {
         report::universe_pairs(&u4) + report::universe_pairs(&u5),
         0,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("sweep timing appended to {path}"),
+    let path = report::bench_json_path();
+    match report::emit(&path, std::slice::from_ref(&record)) {
+        Ok(()) => println!("sweep timing appended to {path}"),
         Err(e) => eprintln!("could not write sweep timing: {e}"),
     }
     println!("(NN's smallest nonconstructibility witnesses need 4-node");

@@ -103,8 +103,9 @@ fn main() {
         report::universe_pairs(&u),
         fix.passes,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("sweep timing appended to {path}"),
+    let path = report::bench_json_path();
+    match report::emit(&path, std::slice::from_ref(&record)) {
+        Ok(()) => println!("sweep timing appended to {path}"),
         Err(e) => eprintln!("could not write sweep timing: {e}"),
     }
 

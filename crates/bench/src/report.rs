@@ -3,9 +3,10 @@
 //! Each experiment binary that drives the parallel sweep engine appends
 //! one [`SweepRecord`] per measured phase to a JSON array on disk, so
 //! speedups can be tracked across runs and machines without scraping
-//! stdout. The file path defaults to `BENCH_sweep.json` in the working
-//! directory and can be overridden with the `CCMM_BENCH_JSON` environment
-//! variable.
+//! stdout. Every reader and writer takes the file path as an argument;
+//! binaries get it from [`bench_json_path`] — `BENCH_sweep.json` in the
+//! working directory unless the `CCMM_BENCH_JSON` environment variable
+//! overrides it.
 
 use ccmm_core::universe::Universe;
 use std::time::Duration;
@@ -172,12 +173,11 @@ pub fn bench_json_path() -> String {
     std::env::var("CCMM_BENCH_JSON").unwrap_or_else(|_| "BENCH_sweep.json".to_string())
 }
 
-/// Appends `records` to the JSON array at [`bench_json_path`], creating
-/// the file if needed (a malformed existing file is overwritten rather
-/// than poisoning every future run). Returns the path written.
-pub fn emit(records: &[SweepRecord]) -> std::io::Result<String> {
-    let path = bench_json_path();
-    let mut arr: Vec<serde::Value> = std::fs::read_to_string(&path)
+/// Appends `records` to the JSON array at `path`, creating the file if
+/// needed (a malformed existing file is overwritten rather than
+/// poisoning every future run).
+pub fn emit(path: &str, records: &[SweepRecord]) -> std::io::Result<()> {
+    let mut arr: Vec<serde::Value> = std::fs::read_to_string(path)
         .ok()
         .and_then(|s| serde_json::from_str::<serde::Value>(&s).ok())
         .and_then(|v| match v {
@@ -188,11 +188,10 @@ pub fn emit(records: &[SweepRecord]) -> std::io::Result<String> {
     arr.extend(records.iter().map(serde::to_value));
     let text = serde_json::to_string_pretty(&serde::Value::Seq(arr))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(&path, text)?;
-    Ok(path)
+    std::fs::write(path, text)
 }
 
-/// The most recent **complete** record at [`bench_json_path`] matching
+/// The most recent **complete** record in the file at `path` matching
 /// the given experiment, engine, universe shape, and thread count — the
 /// committed baseline a perf gate compares a fresh measurement against.
 /// Degraded or partial records never serve as baselines (their timings
@@ -202,12 +201,14 @@ pub fn emit(records: &[SweepRecord]) -> std::io::Result<String> {
 /// `None` when the file is missing, malformed, or has no matching
 /// complete record.
 pub fn latest_matching(
+    path: &str,
     experiment: &str,
     engine: &str,
     u: &Universe,
     threads: usize,
 ) -> Option<SweepRecord> {
     latest_matching_shape(
+        path,
         experiment,
         engine,
         u.max_nodes as u64,
@@ -221,13 +222,14 @@ pub fn latest_matching(
 /// harvested trace (`max_nodes` = trace length) rather than a swept
 /// universe.
 pub fn latest_matching_shape(
+    path: &str,
     experiment: &str,
     engine: &str,
     max_nodes: u64,
     num_locations: u64,
     threads: u64,
 ) -> Option<SweepRecord> {
-    let text = std::fs::read_to_string(bench_json_path()).ok()?;
+    let text = std::fs::read_to_string(path).ok()?;
     let serde::Value::Seq(items) = serde_json::from_str::<serde::Value>(&text).ok()? else {
         return None;
     };
@@ -281,19 +283,22 @@ mod tests {
         assert_eq!(back, r);
     }
 
+    /// A fresh bench file path private to one test.
+    fn temp_json(name: &str) -> String {
+        let path = std::env::temp_dir()
+            .join(format!("ccmm-bench-report-{name}-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_str().expect("temp dir is UTF-8").to_string()
+    }
+
     #[test]
     fn emit_appends_to_an_array() {
-        let dir = std::env::temp_dir().join("ccmm_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweep.json");
-        let _ = std::fs::remove_file(&path);
-        // Scope the env override to this test via an explicit path.
-        std::env::set_var("CCMM_BENCH_JSON", &path);
+        let path = temp_json("emit");
         let u = Universe::new(2, 1);
         let r1 = SweepRecord::new("a", "serial", &u, 1, Duration::from_millis(1), 1, 0);
         let r2 = SweepRecord::new("b", "parallel", &u, 8, Duration::from_millis(2), 2, 1);
-        emit(std::slice::from_ref(&r1)).unwrap();
-        emit(std::slice::from_ref(&r2)).unwrap();
+        emit(&path, std::slice::from_ref(&r1)).unwrap();
+        emit(&path, std::slice::from_ref(&r2)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let v: serde::Value = serde_json::from_str(&text).unwrap();
         let serde::Value::Seq(items) = v else { panic!("not an array") };
@@ -302,21 +307,20 @@ mod tests {
             serde::from_value::<_, serde_json::Error>(items[1].clone()).unwrap();
         assert_eq!(back, r2);
         // Baseline lookup: most recent record matching experiment/engine/
-        // universe shape, scoped to the same env override.
+        // universe shape in the same file.
         let r3 = SweepRecord::new("a", "serial", &u, 2, Duration::from_millis(4), 8, 0);
-        emit(std::slice::from_ref(&r3)).unwrap();
-        assert_eq!(latest_matching("a", "serial", &u, 2), Some(r3), "latest wins");
-        assert_eq!(latest_matching("b", "parallel", &u, 8), Some(r2));
-        assert_eq!(latest_matching("a", "parallel", &u, 2), None, "engine must match");
+        emit(&path, std::slice::from_ref(&r3)).unwrap();
+        assert_eq!(latest_matching(&path, "a", "serial", &u, 2), Some(r3), "latest wins");
+        assert_eq!(latest_matching(&path, "b", "parallel", &u, 8), Some(r2));
+        assert_eq!(latest_matching(&path, "a", "parallel", &u, 2), None, "engine must match");
         assert_eq!(
-            latest_matching("a", "serial", &Universe::new(3, 1), 2),
+            latest_matching(&path, "a", "serial", &Universe::new(3, 1), 2),
             None,
             "shape must match"
         );
-        assert_eq!(latest_matching("a", "serial", &u, 4), None, "thread count must match");
-        std::env::set_var("CCMM_BENCH_JSON", dir.join("no_such_file.json"));
-        assert_eq!(latest_matching("a", "serial", &u, 2), None, "missing file is no baseline");
-        std::env::remove_var("CCMM_BENCH_JSON");
+        assert_eq!(latest_matching(&path, "a", "serial", &u, 4), None, "thread count must match");
+        let missing = temp_json("missing");
+        assert_eq!(latest_matching(&missing, "a", "serial", &u, 2), None, "missing file");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -371,11 +375,7 @@ mod tests {
         // run against a baseline recorded by the SAME engine — otherwise
         // the first lane64 run would raise the bar and every later scalar
         // run would falsely fail (and vice versa falsely pass).
-        let dir = std::env::temp_dir().join("ccmm_bench_lane_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweep.json");
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CCMM_BENCH_JSON", &path);
+        let path = temp_json("lane");
         let u = Universe::new(2, 1);
         let scalar = SweepRecord::new(
             "cli_sweep/memberships",
@@ -395,36 +395,30 @@ mod tests {
             1000,
             0,
         );
-        emit(&[scalar.clone(), lane.clone()]).unwrap();
+        emit(&path, &[scalar.clone(), lane.clone()]).unwrap();
         assert_eq!(
-            latest_matching("cli_sweep/memberships", "canonical", &u, 1),
+            latest_matching(&path, "cli_sweep/memberships", "canonical", &u, 1),
             Some(scalar),
             "scalar gate must see the scalar baseline, not the faster lane record"
         );
         assert_eq!(
-            latest_matching("cli_sweep/memberships", "lane64", &u, 1),
+            latest_matching(&path, "cli_sweep/memberships", "lane64", &u, 1),
             Some(lane),
             "lane gate must see the lane baseline, not the slower scalar record"
         );
-        std::env::remove_var("CCMM_BENCH_JSON");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn non_complete_records_are_not_baselines() {
-        let dir = std::env::temp_dir().join("ccmm_bench_status_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweep.json");
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CCMM_BENCH_JSON", &path);
+        let path = temp_json("status");
         let u = Universe::new(2, 1);
         let complete = SweepRecord::new("g", "parallel", &u, 1, Duration::from_millis(3), 6, 0);
         let partial = SweepRecord::new("g", "parallel", &u, 1, Duration::from_millis(1), 2, 0)
             .with_status("partial");
-        emit(&[complete.clone(), partial]).unwrap();
+        emit(&path, &[complete.clone(), partial]).unwrap();
         // The newer partial record is skipped; the complete one wins.
-        assert_eq!(latest_matching("g", "parallel", &u, 1), Some(complete));
-        std::env::remove_var("CCMM_BENCH_JSON");
+        assert_eq!(latest_matching(&path, "g", "parallel", &u, 1), Some(complete));
         let _ = std::fs::remove_file(&path);
     }
 

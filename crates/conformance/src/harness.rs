@@ -276,6 +276,8 @@ where
         &Universe::new(cfg.max_nodes, cfg.num_locations),
         &cfg.sweep,
         &Supervisor::none(),
+        None,
+        None,
         || ExhState { pairs: 0, checks: 0, finds: Vec::new() },
         || (),
         |acc, (), task_idx, c, _| {

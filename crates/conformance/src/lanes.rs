@@ -136,6 +136,8 @@ pub fn run_lanes(cfg: &HarnessConfig) -> LaneReport {
         &u,
         &cfg.sweep,
         &Supervisor::none(),
+        None,
+        None,
         LaneReport::default,
         || (LanePack::new(), LaneScratch::new(), CheckScratch::new(), Vec::new()),
         |rep, xs, _, c, _| {

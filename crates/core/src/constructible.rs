@@ -30,7 +30,8 @@ use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
 use crate::props::any_extension;
 use crate::sweep::supervisor::Quarantined;
-use crate::sweep::{sweep_computations, SweepConfig};
+use crate::sweep::supervisor::{sweep_supervised, Supervisor};
+use crate::sweep::SweepConfig;
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 use ccmm_dag::bitset::BitSet;
@@ -168,11 +169,15 @@ impl BoundedConstructible {
         // materialisation always runs the labelled enumeration even when
         // the caller's config asks for a canonical sweep.
         let cfg = &SweepConfig { canonical: false, ..*cfg };
-        let chunks = sweep_computations(
+        let chunks = sweep_supervised(
             u,
             cfg,
+            &Supervisor::none(),
+            None,
+            None,
             Vec::new,
-            |acc: &mut Vec<(Computation, HashSet<ObserverFunction>)>, _, c, _| {
+            || (),
+            |acc: &mut Vec<(Computation, HashSet<ObserverFunction>)>, _, _, c, _| {
                 let mut set = HashSet::new();
                 let _ = for_each_observer(c, |phi| {
                     if model.contains(c, phi) {
@@ -188,7 +193,7 @@ impl BoundedConstructible {
         // degraded/partial materialisation must not be silently used.
         .expect_complete("Δ* materialisation");
         let mut pairs: HashMap<Computation, HashSet<ObserverFunction>> =
-            chunks.into_iter().flatten().collect();
+            chunks.into_iter().collect();
 
         // Initial full pass, parallelised over computations: the survivor
         // map is only read here, so workers share it immutably and report

@@ -11,7 +11,7 @@
 //! * Every labelled computation in the universe gets an [`Entry`]: a
 //!   contiguous run of mask words in which bit `p` is the survivor flag
 //!   of the `p`-th observer in **node-major** enumeration order
-//!   ([`for_each_observer_node_major`]).
+//!   ([`crate::enumerate::for_each_observer_node_major`]).
 //! * Node-major order sorts free observer slots by `(node, location)`,
 //!   so the final node's slots always form the least-significant digits
 //!   of the mixed-radix observer index. Because augmentation appends a
@@ -32,11 +32,11 @@
 //!
 //! Stage A (mask materialisation) runs under the full supervisor
 //! machinery — work-stealing shards, deadlines, quarantine,
-//! checkpoint/resume — via [`sweep_supervised_ckpt`], filling each
-//! task's mask words either with the lane engine (64 observers per
-//! [`LanePack`] word through [`MemoryModel::contains_lanes`]) or the
-//! scalar kernel (bit-at-a-time; same bits, used for journal interop
-//! and differential tests). Stage B (the cascade) is a serial
+//! checkpoint/resume — via [`sweep_supervised`], filling each
+//! task's mask words through a sweep [`Kernel`]: [`Lane64`] (64
+//! observers per word through [`MemoryModel::contains_lanes`]) or
+//! [`Scalar`] (bit-at-a-time; same bits, used for journal interop and
+//! differential tests). Stage B (the cascade) is a serial
 //! worklist over the arena mirroring the scalar algorithm's rounds,
 //! counters, and quarantine semantics exactly.
 //!
@@ -54,14 +54,14 @@ use ccmm_dag::{Dag, NodeId};
 
 use crate::ckpt::{get_u64, put_u64, Checkpoint, CkptWriter};
 use crate::computation::Computation;
-use crate::enumerate::{for_each_observer_node_major, node_major_index, node_major_shape};
+use crate::enumerate::{node_major_index, node_major_shape};
 use crate::fault::{payload_string, FaultPlan};
-use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
+use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
 use crate::op::Op;
 use crate::sweep::supervisor::{
-    sweep_supervised_ckpt, CkptSink, Frontier, Merge, Quarantined, Supervised, Supervisor,
-    SweepStatus,
+    sweep_supervised, CkptSink, Frontier, Kernel, Lane64, Merge, Quarantined, Scalar, Supervised,
+    Supervisor, SweepStatus,
 };
 use crate::sweep::{for_each_labelling, materialize, LabelScratch, SweepConfig};
 use crate::telemetry::{self, Counter};
@@ -344,72 +344,39 @@ pub(crate) fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
 // Stage A: mask materialisation under the supervisor.
 // ---------------------------------------------------------------------
 
-fn materialize_masks<M: MemoryModel + Sync>(
+fn materialize_masks<K: Kernel, M: MemoryModel + Sync>(
+    kernel: K,
     model: &M,
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
     resume: Option<(Frontier, MaskState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
-    lanes: bool,
 ) -> Supervised<MaskState> {
     let encode = |s: &MaskState, f: &Frontier| encode_masks_snapshot(f, s);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
+    sweep_supervised(
         u,
         cfg,
         sup,
         resume,
         sink,
         MaskState::default,
-        || (LanePack::new(), LaneScratch::new(), CheckScratch::new()),
-        |acc, xs, idx, c, _w| {
-            let (pack, lscr, check) = xs;
+        || kernel.scratch(),
+        |acc, x, idx, c, _w| {
             let words = acc.group_for(idx);
-            if lanes {
-                pack.prepare(c);
-                let flush = |pack: &mut LanePack, lscr: &mut LaneScratch| {
-                    let used = pack.used();
-                    telemetry::count(Counter::LaneWords, 1);
-                    telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
+            // Kernel words never span a 64-observer boundary, so each one
+            // lands whole in the labelling's current mask word.
+            let mut filled = 0u32;
+            kernel.words(std::slice::from_ref(model), c, x, true, |w| {
+                if filled.is_multiple_of(64) {
                     telemetry::count(Counter::LaneFixpointWords, 1);
-                    let verdict = model.contains_lanes(c, pack, lscr) & used;
-                    pack.clear_lanes();
-                    verdict
-                };
-                let _ = for_each_observer_node_major(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        let v = flush(pack, lscr);
-                        words.push(v);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    let v = flush(pack, lscr);
-                    words.push(v);
+                    words.push(0);
                 }
-            } else {
-                let mut word = 0u64;
-                let mut bit = 0u32;
-                let _ = for_each_observer_node_major(c, |phi| {
-                    if model.contains_with(c, phi, check) {
-                        word |= 1 << bit;
-                    }
-                    bit += 1;
-                    if bit == 64 {
-                        telemetry::count(Counter::LaneFixpointWords, 1);
-                        words.push(word);
-                        word = 0;
-                        bit = 0;
-                    }
-                    ControlFlow::Continue(())
-                });
-                if bit > 0 {
-                    telemetry::count(Counter::LaneFixpointWords, 1);
-                    words.push(word);
-                }
-            }
+                *words.last_mut().expect("a mask word was pushed") |=
+                    w.verdicts[0] << (filled % 64);
+                filled += w.used.count_ones();
+            });
         },
     )
 }
@@ -618,7 +585,11 @@ impl LaneConstructible {
         // A always runs the labelled enumeration (as the scalar path
         // does) even under a canonical config.
         let cfg = &SweepConfig { canonical: false, ..*cfg };
-        let stage_a = materialize_masks(model, u, cfg, sup, resume, ckpt, lanes);
+        let stage_a = if lanes {
+            materialize_masks(Lane64, model, u, cfg, sup, resume, ckpt)
+        } else {
+            materialize_masks(Scalar, model, u, cfg, sup, resume, ckpt)
+        };
         if matches!(stage_a.status, SweepStatus::Partial | SweepStatus::Killed) {
             return stage_a.map(|_| Self::empty(u));
         }

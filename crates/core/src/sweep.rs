@@ -23,28 +23,26 @@
 //!
 //! Determinism is part of the contract, not an accident:
 //!
-//! * counting sweeps ([`compare_par`]) visit every pair exactly once
-//!   (canonical mode: exactly once per orbit, weighted), so the merged
-//!   totals are bit-identical to the serial scan;
-//! * witness sweeps ([`check_complete_par`], [`check_monotonic_par`],
-//!   [`check_constructible_aug_par`], and [`compare_par`]'s witnesses)
-//!   resolve races by *smallest task index wins*. A task is scanned
-//!   serially by exactly one worker, so "first witness within the minimal
-//!   witnessing task" is exactly the witness the serial scan returns.
-//!   A shared atomic best-index lets workers skip or abandon tasks that
-//!   can no longer win — cooperative early exit without changing the
-//!   answer.
+//! * counting sweeps ([`supervisor::memberships`], [`supervisor::compare`])
+//!   visit every pair exactly once (canonical mode: exactly once per
+//!   orbit, weighted), so the merged totals are bit-identical to the
+//!   serial scan;
+//! * witness sweeps ([`supervisor::check_complete_supervised`] and its
+//!   siblings, and [`supervisor::compare`]'s witnesses) resolve races by
+//!   *smallest task index wins*. A task is scanned serially by exactly
+//!   one worker, so "first witness within the minimal witnessing task" is
+//!   exactly the witness the serial scan returns. A shared atomic
+//!   best-index lets workers skip or abandon tasks that can no longer
+//!   win — cooperative early exit without changing the answer.
 //!
-//! Thread count comes from [`SweepConfig`]: the `CCMM_THREADS` environment
-//! variable when set, otherwise [`std::thread::available_parallelism`].
+//! Every entry point lives in [`supervisor`]. Thread count comes from
+//! [`SweepConfig`]: the `CCMM_THREADS` environment variable when set,
+//! otherwise [`std::thread::available_parallelism`].
 
 pub mod supervisor;
 
 use crate::computation::Computation;
-use crate::model::MemoryModel;
 use crate::op::{Location, Op};
-use crate::props::{ConstructibilityWitness, IncompleteWitness, MonotonicityWitness};
-use crate::relation::{Comparison, LatticeRow, Relation};
 use crate::universe::Universe;
 use ccmm_dag::canon::for_each_canonical_poset;
 use ccmm_dag::poset::{count_posets_fast, for_each_poset_indexed};
@@ -52,7 +50,6 @@ use ccmm_dag::Dag;
 use crossbeam::deque::{Injector, Steal};
 use std::ops::ControlFlow;
 use std::time::Duration;
-use supervisor::Supervisor;
 
 /// How a sweep is parallelised and enumerated.
 #[derive(Clone, Copy, Debug)]
@@ -63,12 +60,11 @@ pub struct SweepConfig {
     /// labellings only, weighting counts by orbit size (see the module
     /// docs). Totals and witnesses are identical to the labelled sweep.
     pub canonical: bool,
-    /// Cooperative time budget, honoured by the supervised entry points
-    /// ([`supervisor`]) and by [`sweep_computations`]: workers stop
-    /// between tasks once it elapses and the sweep reports a partial
-    /// result with its resume frontier. The `_par` wrappers cannot
-    /// express partial results and panic if the deadline fires — set a
-    /// deadline only when the caller inspects [`supervisor::SweepStatus`].
+    /// Cooperative time budget: workers stop between tasks once it
+    /// elapses and the sweep reports a partial result with its resume
+    /// frontier. [`supervisor::Supervised::expect_complete`] panics on a
+    /// partial result — set a deadline only when the caller inspects
+    /// [`supervisor::SweepStatus`].
     pub deadline: Option<Duration>,
 }
 
@@ -76,20 +72,23 @@ impl SweepConfig {
     /// `CCMM_THREADS` when set to a positive integer, otherwise the
     /// machine's available parallelism (1 if unknown).
     pub fn from_env() -> Self {
-        let threads = std::env::var("CCMM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        SweepConfig { threads, canonical: false, deadline: None }
+        Self::from_threads_var(std::env::var("CCMM_THREADS").ok().as_deref())
+    }
+
+    /// [`SweepConfig::from_env`] given the variable's value: a positive
+    /// integer (surrounding whitespace allowed) is the thread count;
+    /// anything else, or no value, falls back to the machine's available
+    /// parallelism (1 if unknown).
+    pub fn from_threads_var(value: Option<&str>) -> Self {
+        let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let parsed = value.and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0);
+        Self::with_threads(parsed.unwrap_or_else(available))
     }
 
     /// A single-threaded sweep (the serial scan, run through the same
     /// engine).
     pub fn serial() -> Self {
-        SweepConfig { threads: 1, canonical: false, deadline: None }
+        Self::with_threads(1)
     }
 
     /// An explicit thread count.
@@ -104,9 +103,7 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the cooperative time budget (see the `deadline` field: only
-    /// the supervised entry points can report the resulting partial
-    /// sweep).
+    /// Sets the cooperative time budget (see the `deadline` field).
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -330,168 +327,16 @@ where
     })
 }
 
-/// The general sharded sweep: runs `work` once per computation of the
-/// universe (canonical mode: once per isomorphism orbit), fanned out over
-/// `cfg.threads` workers at poset granularity, each task folding into its
-/// own fresh accumulator (seeded by `init`). Returns the per-task
-/// accumulators — in completion order, so callers must merge them
-/// commutatively — wrapped in a [`supervisor::Supervised`] verdict.
-///
-/// This runs through the supervised engine: a task that panics (twice —
-/// one retry with rebuilt scratch) is quarantined and the sweep finishes
-/// [`supervisor::SweepStatus::Degraded`] with every other task's
-/// accumulator intact, instead of aborting the whole run; a configured
-/// [`SweepConfig::deadline`] yields `Partial` with the completed-task
-/// frontier. Callers that need totality use
-/// [`supervisor::Supervised::expect_complete`].
-///
-/// `work` receives the computation's *task index* (the global poset
-/// index) so callers can impose the serial order on merged results, and
-/// the computation's universe multiplicity (1 in labelled mode) so
-/// weighted counts reproduce labelled totals exactly.
-pub fn sweep_computations<R, I, F>(
-    u: &Universe,
-    cfg: &SweepConfig,
-    init: I,
-    work: F,
-) -> supervisor::Supervised<Vec<R>>
-where
-    R: Send,
-    I: Fn() -> R + Sync,
-    F: Fn(&mut R, usize, &Computation, u64) + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    supervisor::run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &crate::fault::FaultPlan::none(),
-        supervisor::Frontier::new(),
-        Vec::new(),
-        None,
-        LabelScratch::new,
-        |task, scratch| {
-            let mut acc = init();
-            let _ = for_each_labelling(&alphabet, &maps, task, scratch, &mut |c, weight| {
-                work(&mut acc, task.idx, c, weight);
-                ControlFlow::Continue(())
-            });
-            vec![acc]
-        },
-        |all: &mut Vec<R>, mut acc, _| all.append(&mut acc),
-    )
-}
-
-/// A witness tagged with the task index it was found in; merged by
-/// smallest index, which reproduces the serial scan's first witness.
-struct Keyed<W> {
-    task_idx: usize,
-    witness: W,
-}
-
-fn keep_min<W>(slot: &mut Option<Keyed<W>>, task_idx: usize, witness: impl FnOnce() -> W) {
-    if slot.as_ref().is_none_or(|k| task_idx < k.task_idx) {
-        *slot = Some(Keyed { task_idx, witness: witness() });
-    }
-}
-
-/// Parallel [`crate::relation::compare`]: identical `Comparison` —
-/// totals are exact (every pair visited exactly once) and the
-/// `a_only`/`b_only` witnesses are the serial scan's first witnesses
-/// (smallest task index, first in scan order within it). Runs through
-/// the supervised engine with no faults injected; a real panic in model
-/// code is quarantined, retried once, and re-raised here if it persists.
-pub fn compare_par<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Comparison
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    supervisor::compare_supervised(a, b, u, cfg, &Supervisor::none()).expect_complete("compare_par")
-}
-
-/// Decides only the [`Relation`] between two models, with cooperative
-/// early exit: once witnesses in both directions exist the verdict is
-/// `Incomparable` no matter what remains, so a shared flag per direction
-/// lets every worker stop scanning. Existence of a witness is scan-order
-/// independent, so the verdict is deterministic.
-pub fn relation_par<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Relation
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    supervisor::relation_supervised(a, b, u, cfg, &Supervisor::none())
-        .expect_complete("relation_par")
-}
-
-/// Parallel [`crate::relation::lattice`]: the full pairwise relation
-/// matrix, each cell decided by [`relation_par`].
-pub fn lattice_par<M: MemoryModel + Sync>(
-    models: &[M],
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Vec<LatticeRow> {
-    supervisor::lattice_supervised(models, u, cfg, &Supervisor::none())
-        .expect_complete("lattice_par")
-}
-
-/// Parallel [`crate::props::check_complete`], returning the serial scan's
-/// witness. (Large `Err` is deliberate: the witness is the product.)
-#[allow(clippy::result_large_err)]
-pub fn check_complete_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), IncompleteWitness> {
-    match supervisor::check_complete_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_complete_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
-/// Parallel [`crate::props::check_monotonic`], returning the serial
-/// scan's witness. (Large `Err` is deliberate: the witness is the
-/// product.)
-#[allow(clippy::result_large_err)]
-pub fn check_monotonic_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), MonotonicityWitness> {
-    match supervisor::check_monotonic_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_monotonic_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
-/// Parallel [`crate::props::check_constructible_aug`], returning the
-/// serial scan's witness. (Large `Err` is deliberate: the witness is the
-/// product.)
-#[allow(clippy::result_large_err)]
-pub fn check_constructible_aug_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), ConstructibilityWitness> {
-    match supervisor::check_constructible_aug_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_constructible_aug_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::supervisor::{
+        check_complete_supervised, check_constructible_aug_supervised, check_monotonic_supervised,
+        compare, sweep_supervised, Scalar, Supervisor, SweepStatus,
+    };
     use super::*;
-    use crate::model::{AnyObserver, Lc, Model, Nn, Sc};
-    use crate::observer::ObserverFunction;
+    use crate::model::{Model, Nn};
     use crate::props::{check_complete, check_constructible_aug, check_monotonic};
-    use crate::relation::compare;
+    use crate::relation::{self, Comparison};
 
     fn assert_same_comparison(serial: &Comparison, par: &Comparison) {
         assert_eq!(serial.relation, par.relation);
@@ -499,20 +344,23 @@ mod tests {
         assert_eq!(serial.a_total, par.a_total);
         assert_eq!(serial.b_total, par.b_total);
         assert_eq!(serial.pairs_checked, par.pairs_checked);
-        let same_pair = |x: &Option<(Computation, ObserverFunction)>,
-                         y: &Option<(Computation, ObserverFunction)>| {
-            match (x, y) {
-                (None, None) => true,
-                (Some((c1, p1)), Some((c2, p2))) => c1 == c2 && p1 == p2,
-                _ => false,
-            }
-        };
-        assert!(same_pair(&serial.a_only, &par.a_only), "a_only witness differs");
-        assert!(same_pair(&serial.b_only, &par.b_only), "b_only witness differs");
+        assert_eq!(serial.a_only, par.a_only, "a_only witness differs");
+        assert_eq!(serial.b_only, par.b_only, "b_only witness differs");
+    }
+
+    fn par_compare(a: &Model, b: &Model, u: &Universe, cfg: &SweepConfig) -> Comparison {
+        compare(Scalar, a, b, u, cfg, &Supervisor::none()).expect_complete("compare")
+    }
+
+    /// Weighted computation count of a sweep.
+    fn weighted_count(u: &Universe, cfg: &SweepConfig) -> u128 {
+        let count = |acc: &mut u128, _: &mut (), _, _: &_, w| *acc += u128::from(w);
+        sweep_supervised(u, cfg, &Supervisor::none(), None, None, || 0, || (), count)
+            .expect_complete("counting sweep")
     }
 
     #[test]
-    fn compare_par_is_bit_identical_to_serial() {
+    fn compare_is_bit_identical_to_serial() {
         let u = Universe::new(3, 1);
         for threads in [1, 2, 4, 7] {
             let cfg = SweepConfig::with_threads(threads);
@@ -522,57 +370,43 @@ mod tests {
                 (Model::Sc, Model::Any),
                 (Model::Nw, Model::Wn),
             ] {
-                let serial = compare(&a, &b, &u);
-                let par = compare_par(&a, &b, &u, &cfg);
-                assert_same_comparison(&serial, &par);
+                let serial = relation::compare(&a, &b, &u);
+                assert_same_comparison(&serial, &par_compare(&a, &b, &u, &cfg));
             }
         }
     }
 
     #[test]
-    fn compare_par_two_locations() {
+    fn compare_two_locations() {
         let u = Universe::new(3, 2);
-        let serial = compare(&Sc, &Lc, &u);
-        let par = compare_par(&Sc, &Lc, &u, &SweepConfig::with_threads(3));
-        assert_same_comparison(&serial, &par);
-    }
-
-    #[test]
-    fn relation_par_matches_compare() {
-        let u = Universe::new(3, 1);
-        let cfg = SweepConfig::with_threads(4);
-        for (a, b) in [
-            (Model::Sc, Model::Lc),
-            (Model::Lc, Model::Ww),
-            (Model::Ww, Model::Lc),
-            (Model::Nw, Model::Wn),
-        ] {
-            assert_eq!(relation_par(&a, &b, &u, &cfg), compare(&a, &b, &u).relation);
-        }
-    }
-
-    #[test]
-    fn lattice_par_matches_serial_lattice() {
-        let u = Universe::new(2, 1);
-        let models = [Model::Sc, Model::Lc, Model::Nn, Model::Ww];
-        let serial = crate::relation::lattice(&models, &u);
-        let par = lattice_par(&models, &u, &SweepConfig::with_threads(4));
-        for (sr, pr) in serial.iter().zip(&par) {
-            assert_eq!(sr.name, pr.name);
-            assert_eq!(sr.relations, pr.relations);
-        }
+        let serial = relation::compare(&Model::Sc, &Model::Lc, &u);
+        let cfg = SweepConfig::with_threads(3);
+        assert_same_comparison(&serial, &par_compare(&Model::Sc, &Model::Lc, &u, &cfg));
     }
 
     #[test]
     fn parallel_props_agree_with_serial_on_passing_models() {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(4);
+        let none = Supervisor::none();
         for m in [Model::Sc, Model::Lc, Model::Nn, Model::Ww] {
-            assert_eq!(check_complete(&m, &u).is_ok(), check_complete_par(&m, &u, &cfg).is_ok());
-            assert_eq!(check_monotonic(&m, &u).is_ok(), check_monotonic_par(&m, &u, &cfg).is_ok());
+            assert_eq!(
+                check_complete(&m, &u).is_ok(),
+                check_complete_supervised(&m, &u, &cfg, &none)
+                    .expect_complete("complete")
+                    .is_none()
+            );
+            assert_eq!(
+                check_monotonic(&m, &u).is_ok(),
+                check_monotonic_supervised(&m, &u, &cfg, &none)
+                    .expect_complete("monotonic")
+                    .is_none()
+            );
             assert_eq!(
                 check_constructible_aug(&m, &u).is_ok(),
-                check_constructible_aug_par(&m, &u, &cfg).is_ok()
+                check_constructible_aug_supervised(&m, &u, &cfg, &none)
+                    .expect_complete("constructible")
+                    .is_none()
             );
         }
     }
@@ -580,30 +414,29 @@ mod tests {
     #[test]
     fn parallel_constructibility_witness_matches_serial() {
         // NN fails constructibility at the 5-node bound; the parallel
-        // search must return the exact witness the serial scan finds.
+        // search must return the exact witness the serial scan finds —
+        // labelled and canonical alike.
         let u = Universe::new(5, 1);
         let serial =
             check_constructible_aug(&Nn::default(), &u).expect_err("NN is not constructible");
-        let par = check_constructible_aug_par(&Nn::default(), &u, &SweepConfig::with_threads(4))
-            .expect_err("NN is not constructible (parallel)");
-        assert_eq!(serial.c, par.c);
-        assert_eq!(serial.phi, par.phi);
-        assert_eq!(serial.extension, par.extension);
-        assert_eq!(serial.op, par.op);
+        for cfg in [SweepConfig::with_threads(4), SweepConfig::with_threads(2).canonical(true)] {
+            let par =
+                check_constructible_aug_supervised(&Nn::default(), &u, &cfg, &Supervisor::none())
+                    .expect_complete("constructibility")
+                    .expect("NN is not constructible (parallel)");
+            assert_eq!(serial.c, par.c);
+            assert_eq!(serial.phi, par.phi);
+            assert_eq!(serial.extension, par.extension);
+            assert_eq!(serial.op, par.op);
+        }
     }
 
     #[test]
-    fn sweep_computations_counts_the_universe() {
+    fn counting_sweep_counts_the_universe() {
         let u = Universe::new(3, 1);
         for threads in [1, 2, 4, 7] {
-            let counts = sweep_computations(
-                &u,
-                &SweepConfig::with_threads(threads),
-                || 0usize,
-                |acc, _, _, _| *acc += 1,
-            )
-            .expect_complete("counting sweep");
-            assert_eq!(counts.iter().sum::<usize>(), u.count_computations());
+            let n = weighted_count(&u, &SweepConfig::with_threads(threads));
+            assert_eq!(n, u.count_computations() as u128);
         }
     }
 
@@ -616,11 +449,8 @@ mod tests {
             let u = Universe::new(nodes, locs);
             for threads in [1, 2, 4] {
                 let cfg = SweepConfig::with_threads(threads).canonical(true);
-                let weighted =
-                    sweep_computations(&u, &cfg, || 0u128, |acc, _, _, w| *acc += w as u128)
-                        .expect_complete("weighted sweep");
                 assert_eq!(
-                    weighted.iter().sum::<u128>(),
+                    weighted_count(&u, &cfg),
                     u.count_computations_closed(),
                     "bound {nodes}, {locs} locations, {threads} threads"
                 );
@@ -629,43 +459,42 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_panic_degrades_with_surviving_witnesses() {
-        // A panicking task on the plain `sweep_computations` path must
-        // quarantine and degrade — not abort the process — with every
-        // other task's accumulator intact, serial and parallel alike.
+    fn panicking_task_degrades_with_surviving_counts() {
+        // A panicking task must quarantine and degrade — not abort the
+        // process — with every other task's delta intact, serial and
+        // parallel alike.
         let u = Universe::new(3, 1);
-        let clean = sweep_computations(
-            &u,
-            &SweepConfig::serial(),
-            || (0usize, 0usize),
-            |acc, idx, _, _| {
-                acc.0 += 1;
-                if idx == 1 {
-                    acc.1 += 1;
-                }
-            },
-        )
-        .expect_complete("clean sweep");
-        let total: usize = clean.iter().map(|(n, _)| n).sum();
-        let task1: usize = clean.iter().map(|(_, n)| n).sum();
+        let none = Supervisor::none();
+        let count = |cfg: &SweepConfig, only_task_1: bool| {
+            let count = |acc: &mut u64, _: &mut (), idx, _: &_, _| {
+                *acc += u64::from(!only_task_1 || idx == 1)
+            };
+            sweep_supervised(&u, cfg, &none, None, None, || 0, || (), count)
+        };
+        let total = count(&SweepConfig::serial(), false).expect_complete("clean sweep");
+        let task1 = count(&SweepConfig::serial(), true).expect_complete("task-1 sweep");
         assert!(task1 > 0, "task 1 does real work at this bound");
         for threads in [1, 2, 4] {
-            let out = sweep_computations(
+            let out = sweep_supervised(
                 &u,
                 &SweepConfig::with_threads(threads),
-                || 0usize,
-                |acc, idx, _, _| {
+                &none,
+                None,
+                None,
+                || 0u64,
+                || (),
+                |acc, _, idx, _, _| {
                     assert!(idx != 1, "task 1 always panics");
                     *acc += 1;
                 },
             );
-            assert_eq!(out.status, supervisor::SweepStatus::Degraded, "{threads} threads");
+            assert_eq!(out.status, SweepStatus::Degraded, "{threads} threads");
             assert_eq!(out.quarantined.len(), 1);
             assert_eq!(out.quarantined[0].task_idx, 1);
             assert!(out.quarantined[0].payload.contains("always panics"));
             assert!(!out.frontier.contains(1));
             assert_eq!(out.frontier.len(), out.total_tasks - 1);
-            assert_eq!(out.value.iter().sum::<usize>(), total - task1);
+            assert_eq!(out.value, total - task1);
         }
     }
 
@@ -678,9 +507,8 @@ mod tests {
             for threads in [1, 2, 4] {
                 let cfg = SweepConfig::with_threads(threads).canonical(true);
                 for (a, b) in [(Model::Lc, Model::Nn), (Model::Sc, Model::Lc)] {
-                    let serial = compare(&a, &b, &u);
-                    let canonical = compare_par(&a, &b, &u, &cfg);
-                    assert_same_comparison(&serial, &canonical);
+                    let serial = relation::compare(&a, &b, &u);
+                    assert_same_comparison(&serial, &par_compare(&a, &b, &u, &cfg));
                 }
             }
         }
@@ -688,22 +516,14 @@ mod tests {
 
     #[test]
     fn canonical_witness_checks_match_labelled() {
+        // NN is complete and monotonic at this bound.
         let u = Universe::new(4, 1);
         let cfg = SweepConfig::with_threads(2).canonical(true);
-        // NN is complete and monotonic at this bound; WN fails
-        // constructibility with a specific witness the canonical search
-        // must reproduce exactly.
-        assert!(check_complete_par(&Model::Nn, &u, &cfg).is_ok());
-        assert!(check_monotonic_par(&Model::Nn, &u, &cfg).is_ok());
-        let u5 = Universe::new(5, 1);
-        let serial =
-            check_constructible_aug(&Nn::default(), &u5).expect_err("NN is not constructible");
-        let canonical = check_constructible_aug_par(&Nn::default(), &u5, &cfg)
-            .expect_err("NN is not constructible (canonical)");
-        assert_eq!(serial.c, canonical.c);
-        assert_eq!(serial.phi, canonical.phi);
-        assert_eq!(serial.extension, canonical.extension);
-        assert_eq!(serial.op, canonical.op);
+        let none = Supervisor::none();
+        let complete = check_complete_supervised(&Model::Nn, &u, &cfg, &none);
+        assert!(complete.expect_complete("complete").is_none());
+        let monotonic = check_monotonic_supervised(&Model::Nn, &u, &cfg, &none);
+        assert!(monotonic.expect_complete("monotonic").is_none());
     }
 
     #[test]
@@ -727,25 +547,19 @@ mod tests {
     }
 
     #[test]
-    fn config_env_and_constructors() {
+    fn config_constructors_and_threads_var() {
         assert_eq!(SweepConfig::serial().threads, 1);
         assert_eq!(SweepConfig::with_threads(7).threads, 7);
         assert!(SweepConfig::from_env().threads >= 1);
-    }
-
-    #[test]
-    fn relation_par_early_exit_on_incomparable() {
-        // NW ∥ WN needs 4-node computations (Figure 1); with witnesses in
-        // both directions the sweep can stop early yet must still say
-        // Incomparable.
-        let u = Universe::new(4, 1);
-        let r = relation_par(&Model::Nw, &Model::Wn, &u, &SweepConfig::with_threads(2));
-        assert_eq!(r, Relation::Incomparable);
-        // And Equal when comparing a model to itself.
-        let u3 = Universe::new(3, 1);
-        assert_eq!(
-            relation_par(&AnyObserver, &AnyObserver, &u3, &SweepConfig::with_threads(2)),
-            Relation::Equal
-        );
+        assert_eq!(SweepConfig::from_threads_var(Some(" 3 ")).threads, 3);
+        let fallback = SweepConfig::from_threads_var(None).threads;
+        assert!(fallback >= 1);
+        for garbage in ["0", "-2", "many", ""] {
+            assert_eq!(
+                SweepConfig::from_threads_var(Some(garbage)).threads,
+                fallback,
+                "{garbage:?}"
+            );
+        }
     }
 }

@@ -1,49 +1,46 @@
-//! Fault-tolerant supervision for parallel sweeps.
+//! The sweep engine: fault-tolerant supervision, the membership kernels,
+//! and the phase loop every exhaustive sweep runs through.
 //!
-//! The plain engine in [`crate::sweep`] is all-or-nothing: one panicking
-//! task aborts the whole run, there is no time budget, and a killed
-//! multi-hour sweep loses all progress. This module wraps the same
-//! poset-granular task queue with three guarantees:
+//! Every entry point shards the universe at poset granularity over a
+//! work-stealing queue ([`crate::sweep`]) with three guarantees:
 //!
 //! 1. **Panic quarantine.** Every task runs under `catch_unwind` and
 //!    folds into a *fresh per-task delta*, merged into the global state
 //!    only on success — so a mid-task panic cannot corrupt counts. A
 //!    panicking task gets its worker scratch rebuilt and is retried once
 //!    (transient faults heal); a second panic quarantines the task
-//!    ([`Quarantined`]: task index, poset size, panic payload) and the
-//!    sweep completes with [`SweepStatus::Degraded`]. Witnesses for all
-//!    non-quarantined tasks keep the smallest-task-index contract, so
-//!    they still match the serial scan exactly.
+//!    ([`Quarantined`]) and the sweep completes
+//!    [`SweepStatus::Degraded`]. Witnesses of all other tasks keep the
+//!    smallest-task-index contract, so they still match the serial scan.
 //!
 //! 2. **Deadline budgets.** [`SweepConfig::deadline`] cooperatively
-//!    stops workers between tasks once the budget elapses. The result is
-//!    [`SweepStatus::Partial`], carrying the exact completed-task
-//!    [`Frontier`] so the run can be resumed or reported honestly.
+//!    stops workers between tasks; the result is [`SweepStatus::Partial`]
+//!    with the exact completed-task [`Frontier`].
 //!
 //! 3. **Crash-safe checkpoint/resume.** Counting sweeps can journal
 //!    `(frontier, merged state)` snapshots to an append-only
-//!    [`CkptWriter`] every N completed tasks (fsync'd, torn-tail
-//!    tolerant — see [`crate::ckpt`]). A later run passes the decoded
-//!    snapshot back as `resume`: completed tasks are filtered out, the
-//!    remaining deltas merge into the restored state, and because every
-//!    merge here is commutative and associative the resumed totals and
-//!    witnesses are **bit-identical** to an uninterrupted run.
+//!    [`CkptWriter`] every N completed tasks (see [`crate::ckpt`]). A
+//!    resumed run skips completed tasks and merges the rest into the
+//!    restored state; every [`Merge`] is commutative and associative, so
+//!    resumed totals and witnesses are **bit-identical** to an
+//!    uninterrupted run (and so are results merged in racy completion
+//!    order).
 //!
-//! Determinism note: deltas are merged in worker completion order, which
-//! is racy — so supervised sweeps require merges to be commutative and
-//! associative (weighted counts are; the min-task-index witness merge is,
-//! because task indices are unique). That is exactly the property the
-//! unsupervised engine already relied on for its per-worker fold, now
-//! stated as the [`Merge`] contract.
-//!
-//! Faults are injected deterministically via [`FaultPlan`] — see
-//! [`crate::fault`]. The injected-kill path ([`SweepStatus::Killed`])
-//! stops workers right after the configured checkpoint record, leaving
-//! the journal exactly as a real `kill -9` would.
+//! Membership phases ([`memberships`], from which
+//! [`CountsState::lattice`] reads Figure 1, and [`compare`]) are written
+//! once, over a [`Kernel`]: [`Scalar`] decides one observer
+//! function per word with `contains_with`, [`Lane64`] up to 64 per word
+//! with `contains_lanes`. Either way the phase loop sees per-word verdict
+//! masks, so counts, lowest-set-bit witnesses and the separation mask the
+//! lattice is read from are computed in one place. Callers that want no
+//! supervision pass [`Supervisor::none`] and unwrap with
+//! [`Supervised::expect_complete`]. Faults are injected deterministically
+//! via [`FaultPlan`] ([`crate::fault`]); the injected kill
+//! ([`SweepStatus::Killed`]) leaves the journal exactly as a real
+//! `kill -9` would.
 
 use super::{
-    for_each_labelling, keep_min, maps_for, materialize, pop, run_workers, Keyed, LabelScratch,
-    SweepConfig, Task,
+    for_each_labelling, maps_for, materialize, pop, run_workers, LabelScratch, SweepConfig, Task,
 };
 use crate::ckpt::{get_u64, put_u64, CkptWriter};
 use crate::computation::Computation;
@@ -68,8 +65,8 @@ use std::time::{Duration, Instant};
 
 /// Supervision settings for a sweep: the deterministic fault-injection
 /// plan. Deadlines live on [`SweepConfig`]; checkpointing is passed to
-/// the entry points that support it ([`sweep_supervised_ckpt`],
-/// [`memberships_supervised`]).
+/// the entry points that support it ([`sweep_supervised`],
+/// [`memberships`]).
 #[derive(Debug, Default)]
 pub struct Supervisor {
     /// Faults to inject (empty by default — see [`FaultPlan::none`]).
@@ -230,11 +227,11 @@ impl<S> Supervised<S> {
         self.status == SweepStatus::Complete
     }
 
-    /// Unwraps a sweep that must have completed cleanly — the bridge for
-    /// the unsupervised `_par` entry points, which have no way to express
+    /// Unwraps a sweep that must have completed cleanly — for callers
+    /// that run under [`Supervisor::none`] and have no way to use
     /// degraded or partial results. Panics (with the first quarantined
-    /// task's payload) otherwise, restoring the old abort-on-panic
-    /// behaviour for callers that opted out of supervision.
+    /// task's payload) otherwise, so a persistent panic in model code
+    /// still aborts such a caller.
     pub fn expect_complete(self, what: &str) -> S {
         match self.status {
             SweepStatus::Complete => self.value,
@@ -281,6 +278,27 @@ impl<S> Supervised<S> {
 pub trait Merge {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: Self);
+}
+
+/// Counts merge by summation.
+macro_rules! merge_by_sum {
+    ($($t:ty),*) => {$(
+        impl Merge for $t {
+            fn merge(&mut self, other: Self) {
+                *self += other;
+            }
+        }
+    )*};
+}
+merge_by_sum!(u64, u128);
+
+/// Concatenation: the merged order is completion order, so a `Vec` state
+/// is deterministic only as a multiset — consumers must not depend on
+/// its order.
+impl<T> Merge for Vec<T> {
+    fn merge(&mut self, mut other: Self) {
+        self.append(&mut other);
+    }
 }
 
 /// Where and how often a counting sweep journals `(frontier, state)`
@@ -373,73 +391,67 @@ where
                 stop.store(true, Ordering::Relaxed);
                 continue;
             }
-            let delta = match catch_unwind(AssertUnwindSafe(|| {
-                fault.before_task(task.idx);
-                scan(&task, &mut x)
-            })) {
-                Ok(d) => Some(d),
-                Err(_first) => {
-                    // The panic may have left the worker scratch in an
-                    // arbitrary state: rebuild it, then retry once.
-                    x = scratch();
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        fault.before_task(task.idx);
-                        scan(&task, &mut x)
-                    })) {
-                        Ok(d) => Some(d),
-                        Err(second) => {
-                            x = scratch();
-                            let q = Quarantined {
-                                task_idx: task.idx,
-                                size: task.size,
-                                payload: payload_string(second),
-                            };
+            // A panic may leave the worker scratch in an arbitrary state:
+            // rebuild it, retry once, and quarantine the task on a second
+            // panic.
+            let mut delta = None;
+            for attempt in 0..2 {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    fault.before_task(task.idx);
+                    scan(&task, &mut x)
+                })) {
+                    Ok(d) => {
+                        delta = Some(d);
+                        break;
+                    }
+                    Err(payload) => {
+                        x = scratch();
+                        if attempt == 1 {
+                            let payload = payload_string(payload);
+                            let q = Quarantined { task_idx: task.idx, size: task.size, payload };
                             telemetry::count(Counter::Quarantines, 1);
                             shared.lock().unwrap().quarantined.push(q);
-                            None
                         }
                     }
                 }
-            };
+            }
             let Some(delta) = delta else { continue };
             let mut guard = shared.lock().unwrap();
             let g = &mut *guard;
             merge(&mut g.state, delta, task.idx);
             g.frontier.insert(task.idx);
             telemetry::progress_tick(g.frontier.len(), total_tasks, g.quarantined.len());
-            if let Some(sink) = g.ckpt.as_mut() {
-                if g.ckpt_error.is_none() {
-                    g.since_ckpt += 1;
-                    if g.since_ckpt >= sink.every {
-                        g.since_ckpt = 0;
-                        let payload = (sink.encode)(&g.state, &g.frontier);
-                        // The fault plan can fail this record's write
-                        // (the "disk full mid-run" shape) without going
-                        // anywhere near the real file.
-                        let wrote = if fault.io_error_at(sink.writer.snapshots() + 1) {
-                            Err(std::io::Error::other(format!(
-                                "injected fault: io error at ckpt record {}",
-                                sink.writer.snapshots() + 1
-                            )))
-                        } else {
-                            sink.writer.append(&payload)
-                        };
-                        match wrote {
-                            Ok(()) => {
-                                telemetry::count(Counter::CkptRecords, 1);
-                                if fault.should_kill(sink.writer.snapshots()) {
-                                    killed.store(true, Ordering::Relaxed);
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            Err(e) => {
-                                // Journalling failed: keep sweeping, stop
-                                // checkpointing, and surface the error.
-                                g.ckpt_error = Some(e.to_string());
-                            }
-                        }
+            let Some(sink) = g.ckpt.as_mut() else { continue };
+            if g.ckpt_error.is_some() {
+                continue;
+            }
+            g.since_ckpt += 1;
+            if g.since_ckpt < sink.every {
+                continue;
+            }
+            g.since_ckpt = 0;
+            let payload = (sink.encode)(&g.state, &g.frontier);
+            // The fault plan can fail this record's write (the "disk full
+            // mid-run" shape) without going anywhere near the real file.
+            let record = sink.writer.snapshots() + 1;
+            let wrote = if fault.io_error_at(record) {
+                Err(std::io::Error::other(format!(
+                    "injected fault: io error at ckpt record {record}"
+                )))
+            } else {
+                sink.writer.append(&payload)
+            };
+            match wrote {
+                Ok(()) => {
+                    telemetry::count(Counter::CkptRecords, 1);
+                    if fault.should_kill(sink.writer.snapshots()) {
+                        killed.store(true, Ordering::Relaxed);
+                        stop.store(true, Ordering::Relaxed);
                     }
                 }
+                // Journalling failed: keep sweeping, stop checkpointing,
+                // and surface the error.
+                Err(e) => g.ckpt_error = Some(e.to_string()),
             }
         }
     });
@@ -468,36 +480,21 @@ where
     }
 }
 
-/// Supervised general counting sweep: like
-/// [`crate::sweep::sweep_computations`] but with per-task transactional
-/// deltas, panic quarantine, and deadline support. `empty` seeds each
-/// task's delta; `scratch` builds per-worker scratch (rebuilt after a
-/// panic); `work` folds one `(computation, weight)` into the delta.
-pub fn sweep_supervised<S, X, EF, XF, WF>(
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-    empty: EF,
-    scratch: XF,
-    work: WF,
-) -> Supervised<S>
-where
-    S: Merge + Send,
-    EF: Fn() -> S + Sync,
-    XF: Fn() -> X + Sync,
-    WF: Fn(&mut S, &mut X, usize, &Computation, u64) + Sync,
-{
-    sweep_supervised_ckpt(u, cfg, sup, None, None, empty, scratch, work)
-}
-
-/// [`sweep_supervised`] plus checkpoint/resume: `resume` restores a
-/// decoded `(frontier, state)` snapshot (completed tasks are skipped and
-/// their contributions are already in `state`); `ckpt` journals fresh
+/// The general supervised sweep: runs `work` once per computation of the
+/// universe (canonical mode: once per isomorphism orbit) with per-task
+/// transactional deltas, panic quarantine, deadline support and optional
+/// checkpoint/resume. `empty` seeds each task's delta; `scratch` builds
+/// per-worker scratch (rebuilt after a panic); `work` folds one
+/// computation into the delta, given its task (poset) index and its
+/// universe multiplicity (1 in labelled mode), so weighted counts
+/// reproduce labelled totals exactly. `resume` restores a decoded
+/// `(frontier, state)` snapshot (completed tasks are skipped and their
+/// contributions are already in `state`); `ckpt` journals fresh
 /// snapshots as the sweep progresses. Because [`Merge`] is commutative
 /// and associative and witnesses merge by unique minimal task index, a
 /// resumed run is bit-identical to an uninterrupted one.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_supervised_ckpt<S, X, EF, XF, WF>(
+pub fn sweep_supervised<S, X, EF, XF, WF>(
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
@@ -541,569 +538,267 @@ where
     )
 }
 
-/// Keeps the smaller-task-index keyed witness of two merged slots.
-fn merge_keyed<W>(dst: &mut Option<Keyed<W>>, src: Option<Keyed<W>>) {
-    if let Some(k) = src {
-        if dst.as_ref().is_none_or(|d| k.task_idx < d.task_idx) {
-            *dst = Some(k);
-        }
-    }
+// ---------------------------------------------------------------------
+// Membership kernels and the phase loop
+// ---------------------------------------------------------------------
+
+/// One word of membership verdicts: up to 64 observer functions of one
+/// computation, lane `j` holding the `j`-th of them in the order the
+/// kernel visits them.
+pub struct Word<'a> {
+    /// The occupied lanes: always the lowest `used.count_ones()` bits.
+    pub used: u64,
+    /// Per model (caller order), the lanes whose pair is a member; every
+    /// mask is a subset of `used`.
+    pub verdicts: &'a [u64],
+    /// The observer function in a lane.
+    pub observer: &'a dyn Fn(usize) -> ObserverFunction,
 }
 
-/// Per-task (and merged) comparison state.
-struct CmpState {
-    both: usize,
-    a_total: usize,
-    b_total: usize,
-    pairs_checked: usize,
-    a_only: Option<Keyed<(Computation, ObserverFunction)>>,
-    b_only: Option<Keyed<(Computation, ObserverFunction)>>,
+/// A membership kernel: how a sweep decides a computation's observer
+/// functions, one [`Word`] of verdict masks at a time. The kernel is a
+/// zero-sized strategy chosen at compile time, so each phase is written
+/// once and instantiated per kernel.
+pub trait Kernel: Copy + Sync {
+    /// Per-worker working memory (rebuilt after a panic).
+    type Scratch;
+
+    /// Fresh working memory.
+    fn scratch(self) -> Self::Scratch;
+
+    /// Decides every observer function of `c` against every model —
+    /// in [`for_each_observer_node_major`] order when `node_major` is
+    /// set, [`for_each_observer`] order otherwise — handing each verdict
+    /// word to `f`. A word never spans a 64-observer boundary.
+    fn words<M, F>(
+        self,
+        models: &[M],
+        c: &Computation,
+        x: &mut Self::Scratch,
+        node_major: bool,
+        f: F,
+    ) where
+        M: MemoryModel,
+        F: FnMut(&Word<'_>);
 }
 
-impl CmpState {
-    fn new() -> Self {
-        CmpState { both: 0, a_total: 0, b_total: 0, pairs_checked: 0, a_only: None, b_only: None }
-    }
-}
-
-/// Supervised [`crate::sweep::compare_par`]: same `Comparison` when
-/// complete; under quarantine, totals exclude the quarantined tasks and
-/// the witnesses of all other tasks still match the serial scan.
-pub fn compare_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Comparison>
+/// Visits the observer functions of `c` in the order a kernel was asked
+/// for.
+fn visit_observers<F>(c: &Computation, node_major: bool, f: F)
 where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
+    F: FnMut(&ObserverFunction) -> ControlFlow<()>,
 {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        CmpState::new(),
-        None,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs| {
-            let (ls, check) = xs;
-            let mut p = CmpState::new();
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, weight| {
-                let w = weight as usize;
-                let _ = for_each_observer(c, |phi| {
-                    p.pairs_checked += w;
-                    let in_a = a.contains_with(c, phi, check);
-                    let in_b = b.contains_with(c, phi, check);
-                    p.a_total += w * in_a as usize;
-                    p.b_total += w * in_b as usize;
-                    p.both += w * (in_a && in_b) as usize;
-                    if in_a && !in_b {
-                        keep_min(&mut p.a_only, task.idx, || (c.clone(), phi.clone()));
-                    }
-                    if in_b && !in_a {
-                        keep_min(&mut p.b_only, task.idx, || (c.clone(), phi.clone()));
-                    }
-                    ControlFlow::Continue(())
-                });
-                ControlFlow::Continue(())
-            });
-            p
-        },
-        |g, d, _| {
-            g.both += d.both;
-            g.a_total += d.a_total;
-            g.b_total += d.b_total;
-            g.pairs_checked += d.pairs_checked;
-            merge_keyed(&mut g.a_only, d.a_only);
-            merge_keyed(&mut g.b_only, d.b_only);
-        },
-    );
-    out.map(|p| {
-        let a_only = p.a_only.map(|k| k.witness);
-        let b_only = p.b_only.map(|k| k.witness);
-        let relation = match (&a_only, &b_only) {
-            (None, None) => Relation::Equal,
-            (None, Some(_)) => Relation::StrictlyStronger,
-            (Some(_), None) => Relation::StrictlyWeaker,
-            (Some(_), Some(_)) => Relation::Incomparable,
+    let _ = if node_major { for_each_observer_node_major(c, f) } else { for_each_observer(c, f) };
+}
+
+/// The scalar kernel: one-bit words decided by
+/// [`MemoryModel::contains_with`]. The labelled-mode engine and the
+/// reference for [`Lane64`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Scalar;
+
+impl Kernel for Scalar {
+    type Scratch = (CheckScratch, Vec<u64>);
+
+    fn scratch(self) -> Self::Scratch {
+        (CheckScratch::new(), Vec::new())
+    }
+
+    fn words<M, F>(
+        self,
+        models: &[M],
+        c: &Computation,
+        x: &mut Self::Scratch,
+        node_major: bool,
+        mut f: F,
+    ) where
+        M: MemoryModel,
+        F: FnMut(&Word<'_>),
+    {
+        let (check, verdicts) = x;
+        visit_observers(c, node_major, |phi| {
+            verdicts.clear();
+            verdicts.extend(models.iter().map(|m| u64::from(m.contains_with(c, phi, check))));
+            f(&Word { used: 1, verdicts, observer: &|_| phi.clone() });
+            ControlFlow::Continue(())
+        });
+    }
+}
+
+/// The lane kernel: up to [`crate::model::LANES`] observer functions per
+/// [`LanePack`] word, decided in lockstep by
+/// [`MemoryModel::contains_lanes`]. Lanes fill in enumeration order, so
+/// the lowest set bit of a verdict mask is the scalar scan's first hit.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Lane64;
+
+impl Kernel for Lane64 {
+    type Scratch = (LanePack, LaneScratch, Vec<u64>);
+
+    fn scratch(self) -> Self::Scratch {
+        (LanePack::new(), LaneScratch::new(), Vec::new())
+    }
+
+    fn words<M, F>(
+        self,
+        models: &[M],
+        c: &Computation,
+        x: &mut Self::Scratch,
+        node_major: bool,
+        mut f: F,
+    ) where
+        M: MemoryModel,
+        F: FnMut(&Word<'_>),
+    {
+        let (pack, lanes, verdicts) = x;
+        pack.prepare(c);
+        let mut flush = |pack: &mut LanePack| {
+            let used = pack.used();
+            telemetry::count(Counter::LaneWords, 1);
+            telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
+            verdicts.clear();
+            verdicts.extend(models.iter().map(|m| m.contains_lanes(c, pack, lanes) & used));
+            f(&Word { used, verdicts, observer: &|lane| pack.extract(c, lane) });
+            pack.clear_lanes();
         };
-        Comparison {
-            relation,
-            a_only,
-            b_only,
-            both: p.both,
-            a_total: p.a_total,
-            b_total: p.b_total,
-            pairs_checked: p.pairs_checked,
-        }
-    })
-}
-
-/// Supervised [`crate::sweep::relation_par`]. Witness-existence evidence
-/// found by a task that later panics is kept — it is a real pair, so the
-/// verdict stays sound; a degraded verdict may at worst miss evidence
-/// from quarantined tasks (conservative toward `Equal`/one-sided).
-pub fn relation_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Relation>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    // Ordering audit: Relaxed is enough for these monotonic
-    // (false→true) evidence flags. A stale `false` costs at most one
-    // redundant check of a pair that would set the same flag; the final
-    // loads below run after `run_supervised` has joined every worker
-    // (thread join synchronizes-with), so no store can be missed.
-    let found_a_only = AtomicBool::new(false);
-    let found_b_only = AtomicBool::new(false);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        (),
-        None,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs| {
-            if found_a_only.load(Ordering::Relaxed) && found_b_only.load(Ordering::Relaxed) {
-                return; // verdict already forced
+        visit_observers(c, node_major, |phi| {
+            pack.push_valid(c, phi);
+            if pack.is_full() {
+                flush(pack);
             }
-            let (ls, check) = xs;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                let done_a = found_a_only.load(Ordering::Relaxed);
-                let done_b = found_b_only.load(Ordering::Relaxed);
-                if done_a && done_b {
-                    return ControlFlow::Break(());
-                }
-                let _ = for_each_observer(c, |phi| {
-                    let in_a = a.contains_with(c, phi, check);
-                    let in_b = b.contains_with(c, phi, check);
-                    if in_a && !in_b {
-                        found_a_only.store(true, Ordering::Relaxed);
-                    }
-                    if in_b && !in_a {
-                        found_b_only.store(true, Ordering::Relaxed);
-                    }
-                    ControlFlow::Continue(())
-                });
-                ControlFlow::Continue(())
-            });
-        },
-        |_, _, _| {},
-    );
-    let relation =
-        match (found_a_only.load(Ordering::Relaxed), found_b_only.load(Ordering::Relaxed)) {
-            (false, false) => Relation::Equal,
-            (false, true) => Relation::StrictlyStronger,
-            (true, false) => Relation::StrictlyWeaker,
-            (true, true) => Relation::Incomparable,
-        };
-    out.map(|()| relation)
+            ControlFlow::Continue(())
+        });
+        if !pack.is_empty() {
+            flush(pack);
+        }
+    }
 }
 
-/// Supervised [`crate::sweep::lattice_par`]: every cell runs under the
-/// same supervisor (so one fault plan spans the whole matrix), and the
-/// worst cell status wins. The deadline applies per cell.
-pub fn lattice_supervised<M: MemoryModel + Sync>(
+/// The phase loop: every `(C, Φ)` pair of the universe, decided by
+/// `kernel` against `models` and folded word by word into per-task
+/// deltas of `S` (`fold` gets the task index, the computation, its
+/// universe multiplicity and the word), under the full supervisor with
+/// optional checkpoint/resume.
+#[allow(clippy::too_many_arguments)]
+fn drive<K, M, S>(
+    kernel: K,
     models: &[M],
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
-) -> Supervised<Vec<LatticeRow>> {
-    let mut status = SweepStatus::Complete;
-    let mut quarantined = Vec::new();
-    let mut total_tasks = 0;
-    let mut rows = Vec::new();
-    for a in models {
-        let mut row = LatticeRow { name: a.name().to_string(), relations: Vec::new() };
-        for b in models {
-            let cell = relation_supervised(a, b, u, cfg, sup);
-            status = status.max(cell.status);
-            quarantined.extend(cell.quarantined);
-            total_tasks += cell.total_tasks;
-            row.relations.push(cell.value);
-        }
-        rows.push(row);
-    }
-    quarantined.sort_by_key(|q| q.task_idx);
-    Supervised {
-        value: rows,
-        status,
-        quarantined,
-        frontier: Frontier::new(),
-        total_tasks,
-        ckpt_error: None,
-    }
-}
-
-/// Supervised first-witness search (the engine behind the `check_*`
-/// entry points): the winning — minimal-task-index — witness is published
-/// to the shared `best` atomic only at commit time, so a task that found
-/// a candidate but then panicked cannot suppress other tasks' witnesses.
-fn search_supervised<W, X, XF, F>(
-    tasks: Vec<Task>,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-    scratch: XF,
-    scan: F,
-) -> Supervised<Option<W>>
+    resume: Option<(Frontier, S)>,
+    ckpt: Option<CkptSink<'_, S>>,
+    empty: impl Fn() -> S + Sync,
+    fold: impl Fn(&mut S, usize, &Computation, u64, &Word<'_>) + Sync,
+) -> Supervised<S>
 where
-    W: Send,
-    XF: Fn() -> X + Sync,
-    F: Fn(&Task, &mut X, &dyn Fn() -> bool) -> Option<W> + Sync,
+    K: Kernel,
+    M: MemoryModel + Sync,
+    S: Merge + Send,
 {
-    // Ordering audit: `best` is a Relaxed pruning hint, not the answer.
-    // fetch_min is an atomic RMW, so concurrent minima commute and none
-    // is lost regardless of ordering; a worker reading a stale (larger)
-    // value only scans a task whose witness `merge_keyed` then discards
-    // under the shared lock — the authoritative min-task-index merge.
-    let best = AtomicUsize::new(usize::MAX);
-    let out = run_supervised(
-        tasks,
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        None::<Keyed<W>>,
-        None,
-        scratch,
-        |task, x| {
-            if best.load(Ordering::Relaxed) < task.idx {
-                return None; // an earlier task already has a witness
-            }
-            let superseded = || best.load(Ordering::Relaxed) < task.idx;
-            scan(task, x, &superseded).map(|w| Keyed { task_idx: task.idx, witness: w })
-        },
-        |g, d, idx| {
-            if d.is_some() {
-                best.fetch_min(idx, Ordering::Relaxed);
-            }
-            merge_keyed(g, d);
-        },
-    );
-    out.map(|k| k.map(|k| k.witness))
-}
-
-/// Supervised [`crate::sweep::check_complete_par`]; `Some` is the serial
-/// scan's witness.
-pub fn check_complete_supervised<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Option<IncompleteWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    search_supervised(
-        materialize(u, cfg.canonical),
+    sweep_supervised(
+        u,
         cfg,
         sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                let mut any = false;
-                let _ = for_each_observer(c, |phi| {
-                    if model.contains_with(c, phi, check) {
-                        any = true;
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                if !any {
-                    found = Some(c.clone());
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
+        resume,
+        ckpt,
+        empty,
+        || kernel.scratch(),
+        |acc, x, task, c, weight| {
+            kernel.words(models, c, x, false, |word| {
+                telemetry::count(Counter::PairsChecked, u64::from(word.used.count_ones()));
+                fold(acc, task, c, weight, word);
             });
-            found
-        },
-    )
-}
-
-/// Supervised [`crate::sweep::check_monotonic_par`]; `Some` is the serial
-/// scan's witness.
-pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Option<MonotonicityWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    search_supervised(
-        materialize(u, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                for_each_observer(c, |phi| {
-                    if !model.contains_with(c, phi, check) {
-                        return ControlFlow::Continue(());
-                    }
-                    for (na, nb) in c.dag().edges() {
-                        let relaxed = c.without_edge(na, nb).expect("edge exists");
-                        if !model.contains_with(&relaxed, phi, check) {
-                            found = Some(MonotonicityWitness {
-                                c: c.clone(),
-                                phi: phi.clone(),
-                                relaxed,
-                            });
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
-            });
-            found
-        },
-    )
-}
-
-/// Supervised [`crate::sweep::check_constructible_aug_par`]; `Some` is
-/// the serial scan's witness.
-pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Option<ConstructibilityWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
-    search_supervised(
-        materialize(&bounded, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                for_each_observer(c, |phi| {
-                    if !model.contains_with(c, phi, check) {
-                        return ControlFlow::Continue(());
-                    }
-                    for &o in &alphabet {
-                        let aug = c.augment(o);
-                        if !any_extension(&aug, phi, |phi2| model.contains_with(&aug, phi2, check))
-                        {
-                            found = Some(ConstructibilityWitness {
-                                c: c.clone(),
-                                phi: phi.clone(),
-                                extension: aug,
-                                op: o,
-                            });
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
-            });
-            found
-        },
-    )
-}
-
-/// Packs the membership verdicts of `c`'s observers, in node-major
-/// enumeration order, into a bit mask (bit `p` ⇔ `p`-th node-major
-/// observer is a member) via the lane kernel.
-fn lane_member_mask<M: MemoryModel + Sync>(
-    model: &M,
-    c: &Computation,
-    pack: &mut LanePack,
-    lscr: &mut LaneScratch,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    pack.prepare(c);
-    let flush = |pack: &mut LanePack, lscr: &mut LaneScratch, out: &mut Vec<u64>| {
-        let used = pack.used();
-        telemetry::count(Counter::LaneWords, 1);
-        telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-        out.push(model.contains_lanes(c, pack, lscr) & used);
-        pack.clear_lanes();
-    };
-    let _ = for_each_observer_node_major(c, |phi| {
-        pack.push_valid(c, phi);
-        if pack.is_full() {
-            flush(pack, lscr, out);
-        }
-        ControlFlow::Continue(())
-    });
-    if !pack.is_empty() {
-        flush(pack, lscr, out);
-    }
-}
-
-/// Lane-parallel [`check_constructible_aug_supervised`]: instead of
-/// probing `any_extension` per member observer, it packs each
-/// labelling's member verdicts and each augmentation's member verdicts
-/// into node-major masks, so one aligned block-emptiness test per
-/// `(member, op)` replaces the scalar candidate enumeration. The
-/// returned witness is **identical** to the scalar scan's: node-major
-/// failures are re-ranked by location-major observer index (the scalar
-/// enumeration order) and op position before the first one is chosen.
-pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Option<ConstructibilityWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
-    search_supervised(
-        materialize(&bounded, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs, superseded| {
-            let (ls, pack, lscr) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                let mut members = Vec::new();
-                lane_member_mask(model, c, pack, lscr, &mut members);
-                if members.iter().all(|&w| w == 0) {
-                    return ControlFlow::Continue(());
-                }
-                // Per op: the augmentation's member mask and its block
-                // size E — member bit p of `c` extends exactly into the
-                // block [p·E, (p+1)·E) of the augmentation's mask.
-                let augs: Vec<_> = alphabet
-                    .iter()
-                    .map(|&o| {
-                        let aug = c.augment(o);
-                        let (_, block) = node_major_shape(&aug);
-                        let mut mask = Vec::new();
-                        lane_member_mask(model, &aug, pack, lscr, &mut mask);
-                        (o, aug, mask, block)
-                    })
-                    .collect();
-                // For each member, the first op (alphabet order) whose
-                // extension block is empty — mirroring the scalar scan's
-                // inner op loop.
-                let mut failing: Vec<(u64, usize)> = Vec::new();
-                for (wi, &w) in members.iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        let p = (wi as u64) * 64 + u64::from(w.trailing_zeros());
-                        w &= w - 1;
-                        for (j, (_, _, mask, block)) in augs.iter().enumerate() {
-                            if block_empty(mask, p * block, *block) {
-                                failing.push((p, j));
-                                break;
-                            }
-                        }
-                    }
-                }
-                if failing.is_empty() {
-                    return ControlFlow::Continue(());
-                }
-                // Re-rank node-major failures into the scalar scan's
-                // (location-major observer, op) order and keep the first.
-                let mut best: Option<(u64, usize, ObserverFunction)> = None;
-                let mut p = 0u64;
-                let _ = for_each_observer_node_major(c, |phi| {
-                    if let Some(&(_, j)) = failing.iter().find(|&&(q, _)| q == p) {
-                        let rank =
-                            location_major_index(c, phi).expect("enumerated observer is valid");
-                        if best.as_ref().is_none_or(|(r, bj, _)| (rank, j) < (*r, *bj)) {
-                            best = Some((rank, j, phi.clone()));
-                        }
-                    }
-                    p += 1;
-                    ControlFlow::Continue(())
-                });
-                let (_, j, phi) = best.expect("failing set is non-empty");
-                let (o, aug, _, _) = &augs[j];
-                found = Some(ConstructibilityWitness {
-                    c: c.clone(),
-                    phi,
-                    extension: aug.clone(),
-                    op: *o,
-                });
-                ControlFlow::Break(())
-            });
-            found
         },
     )
 }
 
 // ---------------------------------------------------------------------
-// A ready-made checkpointable state: weighted membership counts
+// Memberships, the derived lattice, and pairwise comparison
 // ---------------------------------------------------------------------
 
-/// Weighted membership counts: the checkpointable state behind
-/// `ccmm sweep` phase 1 and the kill/resume tests.
+/// Weighted membership counts plus the separation mask: the
+/// checkpointable state behind `ccmm sweep`'s memberships phase, from
+/// which its lattice phase is read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CountsState {
     /// Weighted (C, Φ) pairs visited.
     pub pairs: u64,
     /// Weighted membership count per model, in caller order.
     pub per_model: Vec<u64>,
+    /// Bit `a·n + b` (n models) is set iff some visited pair is in model
+    /// `a` but not in model `b`.
+    pub separated: u64,
 }
 
 impl CountsState {
-    /// Zero counts for `models` models.
+    /// Zero counts for `models` models (at most 8, so every ordered pair
+    /// has a bit in the separation mask).
     pub fn new(models: usize) -> Self {
-        CountsState { pairs: 0, per_model: vec![0; models] }
+        assert!(models <= 8, "the separation mask holds at most 8 models");
+        CountsState { pairs: 0, per_model: vec![0; models], separated: 0 }
+    }
+
+    /// Folds one verdict word of universe multiplicity `weight`: the pair
+    /// count, each model's member count, and every separation it shows.
+    fn tally(&mut self, weight: u64, word: &Word<'_>) {
+        let n = self.per_model.len();
+        self.pairs += weight * u64::from(word.used.count_ones());
+        for (a, &va) in word.verdicts.iter().enumerate() {
+            self.per_model[a] += weight * u64::from(va.count_ones());
+            for (b, &vb) in word.verdicts.iter().enumerate() {
+                if va & !vb != 0 {
+                    self.separated |= 1 << (a * n + b);
+                }
+            }
+        }
+    }
+
+    /// Whether some visited pair is in model `a` but not in model `b`.
+    pub fn separates(&self, a: usize, b: usize) -> bool {
+        self.separated >> (a * self.per_model.len() + b) & 1 == 1
+    }
+
+    /// The pairwise relation matrix of `models` (the models these counts
+    /// were taken over, in the same order) on the visited pairs.
+    pub fn lattice<M: MemoryModel>(&self, models: &[M]) -> Vec<LatticeRow> {
+        assert_eq!(models.len(), self.per_model.len(), "one model per count");
+        models
+            .iter()
+            .enumerate()
+            .map(|(a, m)| LatticeRow {
+                name: m.name().to_string(),
+                relations: (0..models.len())
+                    .map(|b| Relation::from_separations(self.separates(a, b), self.separates(b, a)))
+                    .collect(),
+            })
+            .collect()
     }
 
     /// Appends the wire encoding (`pairs`, model count, per-model counts,
-    /// all little-endian u64).
+    /// separation mask, all little-endian u64).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.pairs);
         put_u64(out, self.per_model.len() as u64);
         for &m in &self.per_model {
             put_u64(out, m);
         }
+        put_u64(out, self.separated);
     }
 
     /// Consumes a wire encoding from the front of `input`.
     pub fn decode_from(input: &mut &[u8]) -> Option<Self> {
         let pairs = get_u64(input)?;
         let n = get_u64(input)? as usize;
-        if n > 4096 {
+        if n > 8 {
             return None; // corrupt count, not a real model list
         }
         let mut per_model = Vec::with_capacity(n);
         for _ in 0..n {
             per_model.push(get_u64(input)?);
         }
-        Some(CountsState { pairs, per_model })
+        let separated = get_u64(input)?;
+        Some(CountsState { pairs, per_model, separated })
     }
 }
 
@@ -1114,6 +809,7 @@ impl Merge for CountsState {
         for (d, s) in self.per_model.iter_mut().zip(other.per_model) {
             *d += s;
         }
+        self.separated |= other.separated;
     }
 }
 
@@ -1132,10 +828,14 @@ pub fn decode_counts_snapshot(mut bytes: &[u8]) -> Option<(Frontier, CountsState
     Some((frontier, counts))
 }
 
-/// Supervised weighted membership counting over every `(C, Φ)` pair of
-/// the universe: the checkpointable sweep behind `ccmm sweep` phase 1.
-/// `ckpt` is `(journal, every-N-tasks)`; `resume` a decoded snapshot.
-pub fn memberships_supervised<M: MemoryModel + Sync>(
+/// Weighted membership counts and the separation mask over every
+/// `(C, Φ)` pair of the universe: the checkpointable sweep behind
+/// `ccmm sweep`'s memberships phase. `ckpt` is `(journal,
+/// every-N-tasks)`; `resume` a decoded snapshot. Both kernels produce
+/// identical states, so a journal written under one resumes under the
+/// other.
+pub fn memberships<K: Kernel, M: MemoryModel + Sync>(
+    kernel: K,
     models: &[M],
     u: &Universe,
     cfg: &SweepConfig,
@@ -1143,39 +843,13 @@ pub fn memberships_supervised<M: MemoryModel + Sync>(
     resume: Option<(Frontier, CountsState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
 ) -> Supervised<CountsState> {
-    let n = models.len();
     let encode = |s: &CountsState, f: &Frontier| encode_counts_snapshot(f, s);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
-        u,
-        cfg,
-        sup,
-        resume,
-        sink,
-        || CountsState::new(n),
-        CheckScratch::new,
-        |acc, check, _, c, w| {
-            let _ = for_each_observer(c, |phi| {
-                telemetry::count(Counter::PairsChecked, 1);
-                acc.pairs += w;
-                for (i, m) in models.iter().enumerate() {
-                    if m.contains_with(c, phi, check) {
-                        acc.per_model[i] += w;
-                    }
-                }
-                ControlFlow::Continue(())
-            });
-        },
-    )
+    let empty = || CountsState::new(models.len());
+    drive(kernel, models, u, cfg, sup, resume, sink, empty, |acc, _, _, w, word| acc.tally(w, word))
 }
 
-/// Lane-engine counterpart of [`memberships_supervised`]: packs up to
-/// [`crate::model::LANES`] observers per [`LanePack`] and decides them in
-/// lockstep via [`MemoryModel::contains_lanes`]. Counts are identical to
-/// the scalar engine — a verdict mask contributes
-/// `weight × popcount(verdict)`. Checkpoints stay task (poset) granular
-/// with the scalar snapshot encoding, so journals from either engine
-/// resume bit-identically under the same fingerprint discipline.
+/// [`memberships`] through the [`Lane64`] kernel.
 pub fn memberships_lanes_supervised<M: MemoryModel + Sync>(
     models: &[M],
     u: &Universe,
@@ -1184,266 +858,328 @@ pub fn memberships_lanes_supervised<M: MemoryModel + Sync>(
     resume: Option<(Frontier, CountsState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
 ) -> Supervised<CountsState> {
-    let n = models.len();
-    let encode = |s: &CountsState, f: &Frontier| encode_counts_snapshot(f, s);
-    let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
-        u,
-        cfg,
-        sup,
-        resume,
-        sink,
-        || CountsState::new(n),
-        || (LanePack::new(), LaneScratch::new()),
-        |acc, xs, _, c, w| {
-            let (pack, lanes) = xs;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                let used = pack.used();
-                let slots = u64::from(used.count_ones());
-                telemetry::count(Counter::LaneWords, 1);
-                telemetry::count(Counter::LaneSlots, slots);
-                telemetry::count(Counter::PairsChecked, slots);
-                acc.pairs += w * slots;
-                for (i, m) in models.iter().enumerate() {
-                    let verdict = m.contains_lanes(c, pack, lanes) & used;
-                    acc.per_model[i] += w * u64::from(verdict.count_ones());
-                }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-            if !pack.is_empty() {
-                flush(pack, lanes);
-            }
-        },
-    )
+    memberships(Lane64, models, u, cfg, sup, resume, ckpt)
 }
 
-/// Lane-engine counterpart of [`compare_supervised`]: same `Comparison`
-/// — counts AND first witnesses — as the scalar engine. Lanes fill in
-/// observer-enumeration order, so the lowest set bit of a one-sided
-/// verdict mask is exactly the scalar scan's first witness, and
-/// [`keep_min`]/[`merge_keyed`] resolve across flushes and tasks exactly
-/// as they do for scalar checks.
-pub fn compare_lanes_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Comparison>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        CmpState::new(),
-        None,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs| {
-            let (ls, pack, lanes) = xs;
-            let mut p = CmpState::new();
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, weight| {
-                let w = weight as usize;
-                pack.prepare(c);
-                let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                    let used = pack.used();
-                    telemetry::count(Counter::LaneWords, 1);
-                    telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-                    p.pairs_checked += w * used.count_ones() as usize;
-                    let va = a.contains_lanes(c, pack, lanes) & used;
-                    let vb = b.contains_lanes(c, pack, lanes) & used;
-                    p.a_total += w * va.count_ones() as usize;
-                    p.b_total += w * vb.count_ones() as usize;
-                    p.both += w * (va & vb).count_ones() as usize;
-                    let a_mask = va & !vb;
-                    if a_mask != 0 {
-                        let lane = a_mask.trailing_zeros() as usize;
-                        keep_min(&mut p.a_only, task.idx, || (c.clone(), pack.extract(c, lane)));
-                    }
-                    let b_mask = vb & !va;
-                    if b_mask != 0 {
-                        let lane = b_mask.trailing_zeros() as usize;
-                        keep_min(&mut p.b_only, task.idx, || (c.clone(), pack.extract(c, lane)));
-                    }
-                    pack.clear_lanes();
-                };
-                let _ = for_each_observer(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        flush(pack, lanes);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-            p
-        },
-        |g, d, _| {
-            g.both += d.both;
-            g.a_total += d.a_total;
-            g.b_total += d.b_total;
-            g.pairs_checked += d.pairs_checked;
-            merge_keyed(&mut g.a_only, d.a_only);
-            merge_keyed(&mut g.b_only, d.b_only);
-        },
-    );
-    out.map(|p| {
-        let a_only = p.a_only.map(|k| k.witness);
-        let b_only = p.b_only.map(|k| k.witness);
-        let relation = match (&a_only, &b_only) {
-            (None, None) => Relation::Equal,
-            (None, Some(_)) => Relation::StrictlyStronger,
-            (Some(_), None) => Relation::StrictlyWeaker,
-            (Some(_), Some(_)) => Relation::Incomparable,
-        };
-        Comparison {
-            relation,
-            a_only,
-            b_only,
-            both: p.both,
-            a_total: p.a_total,
-            b_total: p.b_total,
-            pairs_checked: p.pairs_checked,
-        }
-    })
-}
-
-/// Lane-engine counterpart of [`relation_supervised`]: existence-only
-/// evidence via verdict masks, with the same early exit once both sides
-/// have a witness. Verdict soundness is unchanged — masks are already
-/// restricted to valid lanes.
-pub fn relation_lanes_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Relation>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    // Ordering audit: same argument as `relation_supervised` — Relaxed
-    // monotonic evidence flags, final loads after worker join.
-    let found_a_only = AtomicBool::new(false);
-    let found_b_only = AtomicBool::new(false);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        (),
-        None,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs| {
-            if found_a_only.load(Ordering::Relaxed) && found_b_only.load(Ordering::Relaxed) {
-                return; // verdict already forced
-            }
-            let (ls, pack, lanes) = xs;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                let done_a = found_a_only.load(Ordering::Relaxed);
-                let done_b = found_b_only.load(Ordering::Relaxed);
-                if done_a && done_b {
-                    return ControlFlow::Break(());
-                }
-                pack.prepare(c);
-                let flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                    let used = pack.used();
-                    let va = a.contains_lanes(c, pack, lanes) & used;
-                    let vb = b.contains_lanes(c, pack, lanes) & used;
-                    if va & !vb != 0 {
-                        found_a_only.store(true, Ordering::Relaxed);
-                    }
-                    if vb & !va != 0 {
-                        found_b_only.store(true, Ordering::Relaxed);
-                    }
-                    pack.clear_lanes();
-                };
-                let _ = for_each_observer(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        flush(pack, lanes);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-        },
-        |_, _, _| {},
-    );
-    let relation =
-        match (found_a_only.load(Ordering::Relaxed), found_b_only.load(Ordering::Relaxed)) {
-            (false, false) => Relation::Equal,
-            (false, true) => Relation::StrictlyStronger,
-            (true, false) => Relation::StrictlyWeaker,
-            (true, true) => Relation::Incomparable,
-        };
-    out.map(|()| relation)
-}
-
-/// Lane-engine counterpart of [`lattice_supervised`]: every cell runs
-/// [`relation_lanes_supervised`] under the same supervisor; the worst
-/// cell status wins, as in the scalar lattice.
+/// The pairwise relation matrix of `models` (Figure 1 at this bound),
+/// read off one [`memberships`] pass through the [`Lane64`] kernel. Under
+/// quarantine the matrix misses exactly the quarantined tasks' pairs.
 pub fn lattice_lanes_supervised<M: MemoryModel + Sync>(
     models: &[M],
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Vec<LatticeRow>> {
-    let mut status = SweepStatus::Complete;
-    let mut quarantined = Vec::new();
-    let mut total_tasks = 0;
-    let mut rows = Vec::new();
-    for a in models {
-        let mut row = LatticeRow { name: a.name().to_string(), relations: Vec::new() };
-        for b in models {
-            let cell = relation_lanes_supervised(a, b, u, cfg, sup);
-            status = status.max(cell.status);
-            quarantined.extend(cell.quarantined);
-            total_tasks += cell.total_tasks;
-            row.relations.push(cell.value);
+    memberships(Lane64, models, u, cfg, sup, None, None).map(|counts| counts.lattice(models))
+}
+
+/// A witness tagged with the task index it was found in; merged by
+/// smallest index, which reproduces the serial scan's first witness.
+struct Keyed<W> {
+    task_idx: usize,
+    witness: W,
+}
+
+fn keep_min<W>(slot: &mut Option<Keyed<W>>, task_idx: usize, witness: impl FnOnce() -> W) {
+    if slot.as_ref().is_none_or(|k| task_idx < k.task_idx) {
+        *slot = Some(Keyed { task_idx, witness: witness() });
+    }
+}
+
+/// Keeps the smaller-task-index keyed witness of two merged slots.
+fn merge_keyed<W>(dst: &mut Option<Keyed<W>>, src: Option<Keyed<W>>) {
+    if let Some(k) = src {
+        keep_min(dst, k.task_idx, || k.witness);
+    }
+}
+
+/// Per-task (and merged) comparison state.
+struct CmpState {
+    counts: CountsState,
+    both: u64,
+    a_only: Option<Keyed<(Computation, ObserverFunction)>>,
+    b_only: Option<Keyed<(Computation, ObserverFunction)>>,
+}
+
+impl Merge for CmpState {
+    fn merge(&mut self, other: Self) {
+        self.counts.merge(other.counts);
+        self.both += other.both;
+        merge_keyed(&mut self.a_only, other.a_only);
+        merge_keyed(&mut self.b_only, other.b_only);
+    }
+}
+
+/// The supervised counterpart of [`crate::relation::compare`]: the same
+/// `Comparison` when complete — totals are exact and the `a_only`/`b_only`
+/// witnesses are the serial scan's first witnesses (smallest task index,
+/// then the lowest set bit of the first separating word). Under
+/// quarantine, totals exclude the quarantined tasks and the witnesses of
+/// all other tasks still match the serial scan.
+pub fn compare<K: Kernel, M: MemoryModel + Sync + Clone>(
+    kernel: K,
+    a: &M,
+    b: &M,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Comparison> {
+    let models = [a.clone(), b.clone()];
+    let empty = || CmpState { counts: CountsState::new(2), both: 0, a_only: None, b_only: None };
+    let out = drive(kernel, &models, u, cfg, sup, None, None, empty, |p, task, c, weight, word| {
+        p.counts.tally(weight, word);
+        let [va, vb] = [word.verdicts[0], word.verdicts[1]];
+        p.both += weight * u64::from((va & vb).count_ones());
+        for (slot, only) in [(&mut p.a_only, va & !vb), (&mut p.b_only, vb & !va)] {
+            if only != 0 {
+                keep_min(slot, task, || {
+                    (c.clone(), (word.observer)(only.trailing_zeros() as usize))
+                });
+            }
         }
-        rows.push(row);
-    }
-    quarantined.sort_by_key(|q| q.task_idx);
-    Supervised {
-        value: rows,
-        status,
-        quarantined,
-        frontier: Frontier::new(),
-        total_tasks,
-        ckpt_error: None,
-    }
+    });
+    out.map(|p| Comparison {
+        relation: Relation::from_separations(p.counts.separates(0, 1), p.counts.separates(1, 0)),
+        a_only: p.a_only.map(|k| k.witness),
+        b_only: p.b_only.map(|k| k.witness),
+        both: p.both as usize,
+        a_total: p.counts.per_model[0] as usize,
+        b_total: p.counts.per_model[1] as usize,
+        pairs_checked: p.counts.pairs as usize,
+    })
+}
+
+// ---------------------------------------------------------------------
+// First-witness searches: completeness, monotonicity, constructibility
+// ---------------------------------------------------------------------
+
+/// Supervised first-witness search over every labelled computation of
+/// `u` (the engine behind the `check_*` entry points): `scan` returns a
+/// computation's first witness, if any, and the search returns the
+/// serial scan's first witness — the one in the minimal task. That task
+/// index is published to the shared `best` atomic only at commit time, so
+/// a task that found a candidate but then panicked cannot suppress other
+/// tasks' witnesses.
+fn first_witness<W, X>(
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+    scratch: impl Fn() -> X + Sync,
+    scan: impl Fn(&Computation, &mut X) -> Option<W> + Sync,
+) -> Supervised<Option<W>>
+where
+    W: Send,
+{
+    let alphabet = u.alphabet();
+    let maps = maps_for(u, cfg, &alphabet);
+    // Ordering audit: `best` is a Relaxed pruning hint, not the answer.
+    // fetch_min is an atomic RMW, so concurrent minima commute and none
+    // is lost regardless of ordering; a worker reading a stale (larger)
+    // value only scans a task whose witness `merge_keyed` then discards
+    // under the shared lock — the authoritative min-task-index merge.
+    let best = AtomicUsize::new(usize::MAX);
+    let superseded = |task: &Task| best.load(Ordering::Relaxed) < task.idx;
+    let out = run_supervised(
+        materialize(u, cfg.canonical),
+        cfg.threads,
+        cfg.deadline,
+        &sup.fault,
+        Frontier::new(),
+        None::<Keyed<W>>,
+        None,
+        || (LabelScratch::new(), scratch()),
+        |task, (ls, x)| {
+            if superseded(task) {
+                return None; // an earlier task already has a witness
+            }
+            let mut found = None;
+            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
+                if superseded(task) {
+                    return ControlFlow::Break(());
+                }
+                found = scan(c, x);
+                if found.is_some() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            found.map(|witness| Keyed { task_idx: task.idx, witness })
+        },
+        |g, d, idx| {
+            if d.is_some() {
+                best.fetch_min(idx, Ordering::Relaxed);
+            }
+            merge_keyed(g, d);
+        },
+    );
+    out.map(|k| k.map(|k| k.witness))
+}
+
+/// Supervised [`crate::props::check_complete`]; `Some` is the serial
+/// scan's witness.
+pub fn check_complete_supervised<M: MemoryModel + Sync>(
+    model: &M,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Option<IncompleteWitness>> {
+    first_witness(u, cfg, sup, CheckScratch::new, |c, check| {
+        let member = for_each_observer(c, |phi| {
+            if model.contains_with(c, phi, check) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        member.is_continue().then(|| c.clone())
+    })
+}
+
+/// Supervised [`crate::props::check_monotonic`]; `Some` is the serial
+/// scan's witness.
+pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
+    model: &M,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Option<MonotonicityWitness>> {
+    first_witness(u, cfg, sup, CheckScratch::new, |c, check| {
+        let mut found = None;
+        let _ = for_each_observer(c, |phi| {
+            if !model.contains_with(c, phi, check) {
+                return ControlFlow::Continue(());
+            }
+            for (na, nb) in c.dag().edges() {
+                let relaxed = c.without_edge(na, nb).expect("edge exists");
+                if !model.contains_with(&relaxed, phi, check) {
+                    found = Some(MonotonicityWitness { c: c.clone(), phi: phi.clone(), relaxed });
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        found
+    })
+}
+
+/// The universe whose computations a one-step augmentation check scans:
+/// one node short of `u`'s bound, so every augmentation stays inside `u`.
+fn augmentable(u: &Universe) -> Universe {
+    Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u }
+}
+
+/// Supervised [`crate::props::check_constructible_aug`]; `Some` is the
+/// serial scan's witness.
+pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
+    model: &M,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Option<ConstructibilityWitness>> {
+    let alphabet = u.alphabet();
+    first_witness(&augmentable(u), cfg, sup, CheckScratch::new, |c, check| {
+        let mut found = None;
+        let _ = for_each_observer(c, |phi| {
+            if !model.contains_with(c, phi, check) {
+                return ControlFlow::Continue(());
+            }
+            for &op in &alphabet {
+                let extension = c.augment(op);
+                if !any_extension(&extension, phi, |phi2| {
+                    model.contains_with(&extension, phi2, check)
+                }) {
+                    found = Some(ConstructibilityWitness {
+                        c: c.clone(),
+                        phi: phi.clone(),
+                        extension,
+                        op,
+                    });
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        found
+    })
+}
+
+/// Lane-parallel [`check_constructible_aug_supervised`]: instead of
+/// probing `any_extension` per member observer, it packs each
+/// labelling's member verdicts and each augmentation's member verdicts
+/// into node-major masks, so one aligned block-emptiness test per
+/// `(member, op)` replaces the scalar candidate enumeration. The
+/// returned witness is **identical** to the scalar scan's: node-major
+/// failures are re-ranked by location-major observer index (the scalar
+/// enumeration order) and op position before the first one is chosen.
+pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
+    model: &M,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Option<ConstructibilityWitness>> {
+    let alphabet = u.alphabet();
+    // Bit `p` of a node-major member mask ⇔ the `p`-th node-major
+    // observer function is a member.
+    let member_mask = |c: &Computation, x: &mut <Lane64 as Kernel>::Scratch| {
+        let mut mask = Vec::new();
+        Lane64.words(std::slice::from_ref(model), c, x, true, |w| mask.push(w.verdicts[0]));
+        mask
+    };
+    let scan = |c: &Computation, x: &mut <Lane64 as Kernel>::Scratch| {
+        let members = member_mask(c, x);
+        if members.iter().all(|&w| w == 0) {
+            return None;
+        }
+        // Per op: the augmentation, its member mask, and its block size
+        // E — member bit p of `c` extends exactly into the block
+        // [p·E, (p+1)·E) of the augmentation's mask.
+        let augs: Vec<_> = alphabet
+            .iter()
+            .map(|&op| {
+                let aug = c.augment(op);
+                let (_, block) = node_major_shape(&aug);
+                (op, member_mask(&aug, x), aug, block)
+            })
+            .collect();
+        // For each member, the first op (alphabet order) whose extension
+        // block is empty — mirroring the scalar scan's inner op loop.
+        let first_dead = |p: u64| {
+            augs.iter().position(|(_, mask, _, block)| block_empty(mask, p * block, *block))
+        };
+        let failing: Vec<(u64, usize)> = (0..members.len() as u64 * 64)
+            .filter(|&p| members[(p / 64) as usize] >> (p % 64) & 1 == 1)
+            .filter_map(|p| first_dead(p).map(|j| (p, j)))
+            .collect();
+        if failing.is_empty() {
+            return None;
+        }
+        // Re-rank node-major failures into the scalar scan's
+        // (location-major observer, op) order and keep the first.
+        let mut best: Option<(u64, usize, ObserverFunction)> = None;
+        let mut p = 0u64;
+        let _ = for_each_observer_node_major(c, |phi| {
+            if let Some(&(_, j)) = failing.iter().find(|&&(q, _)| q == p) {
+                let rank = location_major_index(c, phi).expect("enumerated observer is valid");
+                if best.as_ref().is_none_or(|(r, bj, _)| (rank, j) < (*r, *bj)) {
+                    best = Some((rank, j, phi.clone()));
+                }
+            }
+            p += 1;
+            ControlFlow::Continue(())
+        });
+        let (_, j, phi) = best.expect("failing set is non-empty");
+        let (op, _, extension, _) = &augs[j];
+        Some(ConstructibilityWitness { c: c.clone(), phi, extension: extension.clone(), op: *op })
+    };
+    first_witness(&augmentable(u), cfg, sup, || Lane64.scratch(), scan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::Model;
-    use crate::relation::compare;
+    use crate::relation;
 
     const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
 
@@ -1490,12 +1226,12 @@ mod tests {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2);
         let sup = Supervisor::none();
-        let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, None);
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, None);
         assert!(out.is_complete());
         assert!(out.quarantined.is_empty());
         assert_eq!(out.frontier.len(), out.total_tasks);
         // Pair totals match the exhaustive comparison's count.
-        let serial = compare(&Model::Sc, &Model::Lc, &u);
+        let serial = relation::compare(&Model::Sc, &Model::Lc, &u);
         assert_eq!(out.value.pairs as usize, serial.pairs_checked);
         assert_eq!(out.value.per_model[0] as usize, serial.a_total);
         assert_eq!(out.value.per_model[1] as usize, serial.b_total);
@@ -1505,10 +1241,9 @@ mod tests {
     fn persistent_panic_quarantines_and_degrades() {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2);
-        let clean =
-            memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
+        let clean = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
         let sup = Supervisor::with_fault(FaultPlan::none().panic_at_task(0));
-        let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, None);
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, None);
         assert_eq!(out.status, SweepStatus::Degraded);
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].task_idx, 0);
@@ -1523,10 +1258,9 @@ mod tests {
     fn transient_panic_heals_on_retry() {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2);
-        let clean =
-            memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
+        let clean = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
         let sup = Supervisor::with_fault(FaultPlan::none().panic_once_at_task(2));
-        let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, None);
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, None);
         assert!(out.is_complete(), "retry should heal a once-fault");
         assert_eq!(out.value, clean);
     }
@@ -1535,23 +1269,26 @@ mod tests {
     fn zero_deadline_yields_partial_with_empty_frontier() {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2).deadline(Duration::ZERO);
-        let out = memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None);
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None);
         assert_eq!(out.status, SweepStatus::Partial);
         assert!(out.frontier.is_empty());
         assert_eq!(out.value.pairs, 0);
     }
 
-    #[test]
-    fn kill_resume_is_bit_identical() {
+    /// Kills a `kernel` memberships run after two journal records, resumes
+    /// it, and asserts the resumed counts and separation mask are
+    /// bit-identical to an uninterrupted run, at 1, 2 and 4 threads.
+    fn assert_kill_resume_is_bit_identical<K: Kernel>(kernel: K, name: &str) {
         let u = Universe::new(3, 1);
         for threads in [1, 2, 4] {
             let cfg = SweepConfig::with_threads(threads).canonical(true);
             let clean =
-                memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
-            let path = temp(&format!("killres-{threads}"));
+                memberships(kernel, &MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
+            assert_ne!(clean.separated, 0, "bound 3 separates NW and WW from the rest");
+            let path = temp(&format!("{name}-killres-{threads}"));
             let mut writer = CkptWriter::create(&path, "test fp").unwrap();
             let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
-            let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, Some((&mut writer, 1)));
+            let out = memberships(kernel, &MODELS, &u, &cfg, &sup, None, Some((&mut writer, 1)));
             assert_eq!(out.status, SweepStatus::Killed);
             drop(writer);
             let ck = crate::ckpt::Checkpoint::load(&path).unwrap();
@@ -1560,7 +1297,8 @@ mod tests {
             let (frontier, counts) = decode_counts_snapshot(ck.latest().unwrap()).unwrap();
             assert!(frontier.len() >= 2);
             let mut writer = CkptWriter::append_to(&path).unwrap();
-            let resumed = memberships_supervised(
+            let resumed = memberships(
+                kernel,
                 &MODELS,
                 &u,
                 &cfg,
@@ -1568,22 +1306,40 @@ mod tests {
                 Some((frontier, counts)),
                 Some((&mut writer, 1)),
             );
-            assert!(resumed.is_complete(), "{threads} threads");
-            assert_eq!(resumed.value, clean, "{threads} threads: resume must be bit-identical");
+            assert!(resumed.is_complete(), "{name}, {threads} threads");
+            assert_eq!(
+                resumed.value, clean,
+                "{name}, {threads} threads: resume must be bit-identical"
+            );
+            assert_eq!(
+                resumed.value.separated, clean.separated,
+                "{name}, {threads} threads: the lattice mask must resume bit-identically"
+            );
             assert_eq!(resumed.frontier.len(), resumed.total_tasks);
             std::fs::remove_file(&path).unwrap();
         }
     }
 
     #[test]
+    fn kill_resume_is_bit_identical() {
+        assert_kill_resume_is_bit_identical(Scalar, "scalar");
+    }
+
+    #[test]
+    fn lane_kill_resume_is_bit_identical() {
+        assert_kill_resume_is_bit_identical(Lane64, "lane");
+    }
+
+    #[test]
     fn lane_memberships_match_scalar_at_every_thread_count() {
         // The lane64 engine must reproduce the scalar engine's weighted
-        // membership counts exactly — labelled and canonical, 1/2/4
-        // threads — because downstream tables and gates treat the two
-        // engines as interchangeable up to throughput.
+        // membership counts and separation mask exactly — labelled and
+        // canonical, 1/2/4 threads — because downstream tables and gates
+        // treat the two engines as interchangeable up to throughput.
         let u = Universe::new(4, 1);
         for canonical in [false, true] {
-            let scalar = memberships_supervised(
+            let scalar = memberships(
+                Scalar,
                 &MODELS,
                 &u,
                 &SweepConfig::with_threads(1).canonical(canonical),
@@ -1611,12 +1367,11 @@ mod tests {
     #[test]
     fn lane_compare_matches_scalar_counts_and_witnesses() {
         let u = Universe::new(4, 1);
-        let serial = compare(&Model::Lc, &Model::Nn, &u);
+        let serial = relation::compare(&Model::Lc, &Model::Nn, &u);
         for threads in [1, 2, 4] {
             let cfg = SweepConfig::with_threads(threads).canonical(true);
-            let out =
-                compare_lanes_supervised(&Model::Lc, &Model::Nn, &u, &cfg, &Supervisor::none())
-                    .expect_complete("lane compare");
+            let out = compare(Lane64, &Model::Lc, &Model::Nn, &u, &cfg, &Supervisor::none())
+                .expect_complete("lane compare");
             assert_eq!(out.relation, serial.relation, "{threads} threads");
             assert_eq!(out.both, serial.both, "{threads} threads");
             assert_eq!(out.a_total, serial.a_total, "{threads} threads");
@@ -1629,49 +1384,34 @@ mod tests {
 
     #[test]
     fn lane_lattice_matches_scalar() {
-        let u = Universe::new(3, 1);
-        let cfg = SweepConfig::with_threads(2).canonical(true);
-        let scalar = lattice_supervised(&MODELS, &u, &cfg, &Supervisor::none());
-        let lanes = lattice_lanes_supervised(&MODELS, &u, &cfg, &Supervisor::none());
-        assert!(lanes.is_complete());
-        for (a, b) in scalar.value.iter().zip(&lanes.value) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.relations, b.relations, "lattice row {} drift", a.name);
-        }
-    }
-
-    #[test]
-    fn lane_kill_resume_is_bit_identical() {
-        // Same discipline as the scalar kill/resume test: a lane journal
-        // truncated by an injected kill must resume to the exact clean
-        // counts, at every thread count.
-        let u = Universe::new(3, 1);
-        for threads in [1, 2, 4] {
-            let cfg = SweepConfig::with_threads(threads).canonical(true);
-            let clean =
-                memberships_lanes_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None)
-                    .value;
-            let path = temp(&format!("lane-killres-{threads}"));
-            let mut writer = CkptWriter::create(&path, "test fp").unwrap();
-            let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
-            let out =
-                memberships_lanes_supervised(&MODELS, &u, &cfg, &sup, None, Some((&mut writer, 1)));
-            assert_eq!(out.status, SweepStatus::Killed);
-            drop(writer);
-            let ck = crate::ckpt::Checkpoint::load(&path).unwrap();
-            let (frontier, counts) = decode_counts_snapshot(ck.latest().unwrap()).unwrap();
-            let mut writer = CkptWriter::append_to(&path).unwrap();
-            let resumed = memberships_lanes_supervised(
-                &MODELS,
-                &u,
-                &cfg,
-                &Supervisor::none(),
-                Some((frontier, counts)),
-                Some((&mut writer, 1)),
-            );
-            assert!(resumed.is_complete(), "{threads} threads");
-            assert_eq!(resumed.value, clean, "{threads} threads: resume must be bit-identical");
-            std::fs::remove_file(&path).unwrap();
+        // The lattice derived from one memberships pass must equal the
+        // serial 36-cell `relation::lattice` — with both kernels,
+        // labelled and canonical, at 1/2/4 threads. (3, 2) is where SC ⊊
+        // LC; (4, 1) is where NW ∥ WN first shows.
+        for (nodes, locs) in [(3, 1), (3, 2), (4, 1)] {
+            let u = Universe::new(nodes, locs);
+            let serial = relation::lattice(&MODELS, &u);
+            for canonical in [false, true] {
+                for threads in [1, 2, 4] {
+                    let cfg = SweepConfig::with_threads(threads).canonical(canonical);
+                    let none = Supervisor::none();
+                    let scalar = memberships(Scalar, &MODELS, &u, &cfg, &none, None, None)
+                        .map(|counts| counts.lattice(&MODELS));
+                    let lanes = lattice_lanes_supervised(&MODELS, &u, &cfg, &none);
+                    for derived in [scalar, lanes] {
+                        let rows = derived.expect_complete("derived lattice");
+                        for (s, d) in serial.iter().zip(&rows) {
+                            assert_eq!(s.name, d.name);
+                            assert_eq!(
+                                s.relations, d.relations,
+                                "row {} at bound {nodes}, {locs} locs, canonical={canonical}, \
+                                 {threads} threads",
+                                s.name
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1681,12 +1421,11 @@ mod tests {
         // the snapshot encoding (frontier + counts) is engine-agnostic.
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2).canonical(true);
-        let clean =
-            memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
+        let clean = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
         let path = temp("lane-interop");
         let mut writer = CkptWriter::create(&path, "test fp").unwrap();
         let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
-        let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, Some((&mut writer, 1)));
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, Some((&mut writer, 1)));
         assert_eq!(out.status, SweepStatus::Killed);
         drop(writer);
         let ck = crate::ckpt::Checkpoint::load(&path).unwrap();
@@ -1710,10 +1449,10 @@ mod tests {
         // the LC/NN disagreement witnesses must still equal the serial
         // scan's, and the verdict must be Degraded, not a crash.
         let u = Universe::new(3, 1);
-        let serial = compare(&Model::Lc, &Model::Nn, &u);
+        let serial = relation::compare(&Model::Lc, &Model::Nn, &u);
         let sup = Supervisor::with_fault(FaultPlan::none().panic_at_task(0));
-        let out =
-            compare_supervised(&Model::Lc, &Model::Nn, &u, &SweepConfig::with_threads(2), &sup);
+        let cfg = SweepConfig::with_threads(2);
+        let out = compare(Scalar, &Model::Lc, &Model::Nn, &u, &cfg, &sup);
         assert_eq!(out.status, SweepStatus::Degraded);
         assert_eq!(out.value.relation, serial.relation);
         assert_eq!(out.value.a_only, serial.a_only);
@@ -1785,7 +1524,8 @@ mod tests {
         f.insert(3);
         f.insert(4);
         f.insert(9);
-        let counts = CountsState { pairs: 123, per_model: vec![7, 0, 99] };
+        let counts =
+            CountsState { pairs: 123, per_model: vec![7, 0, 99], separated: 0b1_0010_0000 };
         let bytes = encode_counts_snapshot(&f, &counts);
         let (f2, c2) = decode_counts_snapshot(&bytes).unwrap();
         assert_eq!(f2, f);

@@ -1,65 +1,26 @@
 //! Ignored perf probe: per-model scalar vs lane timing. Run with
 //! `cargo test -p ccmm-core --release --test lane_perf -- --ignored --nocapture`.
 
-use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::{CheckScratch, LanePack, LaneScratch};
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::sweep::supervisor::{memberships, Kernel, Lane64, Scalar, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
-use ccmm_core::{MemoryModel, Model};
-use std::ops::ControlFlow;
+use ccmm_core::Model;
 use std::time::Instant;
 
+fn total<K: Kernel>(kernel: K, u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
+    memberships(kernel, models, u, cfg, &Supervisor::none(), None, None)
+        .expect_complete("memberships")
+        .per_model
+        .iter()
+        .sum()
+}
+
 fn scalar(u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
-    sweep_computations(
-        u,
-        cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
-            let _ = for_each_observer(c, |phi| {
-                for m in models {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
-                }
-                ControlFlow::Continue(())
-            });
-        },
-    )
-    .expect_complete("scalar")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
+    total(Scalar, u, cfg, models)
 }
 
 fn lanes(u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
-    sweep_computations(
-        u,
-        cfg,
-        || (0u64, LanePack::new(), LaneScratch::new()),
-        |acc, _, c, w| {
-            let (total, pack, ls) = acc;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, ls: &mut LaneScratch| {
-                let used = pack.used();
-                for m in models {
-                    *total += w * u64::from((m.contains_lanes(c, pack, ls) & used).count_ones());
-                }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, ls);
-                }
-                ControlFlow::Continue(())
-            });
-            if !pack.is_empty() {
-                flush(pack, ls);
-            }
-        },
-    )
-    .expect_complete("lanes")
-    .into_iter()
-    .map(|(n, _, _)| n)
-    .sum()
+    total(Lane64, u, cfg, models)
 }
 
 #[test]

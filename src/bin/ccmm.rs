@@ -269,7 +269,7 @@ fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::
 /// `ccmm_core::telemetry`: flips the runtime switches, collects one
 /// counter snapshot per phase, and writes the output files.
 ///
-/// Counter *values* for the memberships and fixpoint phases are
+/// Counter *values* for the memberships, lattice and fixpoint phases are
 /// bit-identical across thread counts; wall times never are (see
 /// DESIGN.md §9) — which is why `wall_ms` sits beside, not inside, each
 /// phase's `counters` object.
@@ -368,14 +368,13 @@ impl TelemetrySink {
     }
 }
 
-fn cmd_sweep(args: &[String]) -> Result<u8, String> {
+fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
     use ccmm::core::constructible::BoundedConstructible;
     use ccmm::core::fault::FaultPlan;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
-        decode_counts_snapshot, lattice_lanes_supervised, lattice_supervised,
-        memberships_lanes_supervised, memberships_supervised, Supervisor, SweepStatus,
+        decode_counts_snapshot, memberships, Lane64, Scalar, Supervisor, SweepStatus,
     };
     use ccmm::core::sweep::SweepConfig;
     use ccmm::core::universe::Universe;
@@ -386,7 +385,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     let mut bound = 4usize;
     let mut locs = 1usize;
     let mut canonical = false;
-    let mut alloc = false;
     let mut engine_flag: Option<String> = None;
     let mut gate = false;
     let mut threads: Option<usize> = None;
@@ -410,7 +408,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             "--progress" => progress = true,
             "--locs" => locs = take("--locs")?.parse().map_err(|_| "bad --locs")?,
             "--canonical" => canonical = true,
-            "--alloc" => alloc = true,
             "--engine" => engine_flag = Some(take("--engine")?),
             "--gate" => gate = true,
             "--threads" => {
@@ -442,11 +439,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
                     task list)"
             .to_string());
     }
-    if lane && alloc {
-        return Err("--alloc is the scalar pre-scratch baseline; it cannot be combined with \
-                    --engine lane64"
-            .to_string());
-    }
     if bound > 5 && !lane {
         return Err(format!(
             "--bound {bound} is out of reach for the scalar engine, which supports all phases \
@@ -464,15 +456,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
         );
     }
-    let supervised_flags = deadline_secs.is_some()
-        || fault_spec.is_some()
-        || ckpt_path.is_some()
-        || resume_path.is_some();
-    if alloc && supervised_flags {
-        return Err("--alloc is a baseline timing mode; it cannot be combined with \
-                    --deadline-secs/--fault/--ckpt/--resume"
-            .to_string());
-    }
     let fault = match &fault_spec {
         Some(spec) => FaultPlan::from_spec(spec)?,
         None => FaultPlan::none(),
@@ -486,18 +469,10 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     if let Some(secs) = deadline_secs {
         cfg = cfg.deadline(std::time::Duration::from_secs_f64(secs));
     }
-    // `--alloc` measures the pre-scratch membership path (fresh checker
-    // state allocated per pair) so BENCH_sweep.json can hold the baseline
-    // the canonical+scratch engine is compared against.
-    let engine = if lane {
-        "lane64"
-    } else {
-        match (canonical, alloc) {
-            (true, false) => "canonical",
-            (true, true) => "canonical-alloc",
-            (false, false) => "labelled",
-            (false, true) => "labelled-alloc",
-        }
+    let engine = match (lane, canonical) {
+        (true, _) => "lane64",
+        (false, true) => "canonical",
+        (false, false) => "labelled",
     };
     let u = Universe::new(bound, locs);
 
@@ -505,7 +480,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // compare against must not silently record itself as the baseline.
     // Matching is same-engine AND same-thread-count: gating a 4-thread
     // run against a 1-thread baseline would pass on scaling alone.
-    let baseline = latest_matching("cli_sweep/memberships", engine, &u, cfg.threads);
+    let baseline = latest_matching(bench_json, "cli_sweep/memberships", engine, &u, cfg.threads);
     if gate && baseline.is_none() {
         eprintln!("error: no baseline for this config — run without --gate to record one");
         return Ok(exit::NO_BASELINE);
@@ -514,9 +489,10 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // Checkpoint journal: `--ckpt` starts one, `--resume` validates an
     // existing journal's fingerprint and continues from its last
     // snapshot. The fingerprint pins the exact sweep configuration so a
-    // journal can never be resumed into a different universe.
+    // journal can never be resumed into a different universe; v2
+    // snapshots carry the lattice's separation mask beside the counts.
     let fingerprint =
-        format!("ccmm-sweep-v1 bound={bound} locs={locs} canonical={canonical} engine={engine}");
+        format!("ccmm-sweep-v2 bound={bound} locs={locs} canonical={canonical} engine={engine}");
     let mut writer: Option<ckpt::CkptWriter> = None;
     let mut resume_state = None;
     if let Some(path) = &ckpt_path {
@@ -560,63 +536,18 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     let mut records = Vec::new();
     let mut worst = SweepStatus::Complete;
 
-    // Phase 1: weighted membership counts for every model. The weighted
-    // pair total is the labelled universe's pair count regardless of
+    // Phase 1: weighted membership counts for every model, plus the
+    // separation mask phase 2 reads the lattice from. The weighted pair
+    // total is the labelled universe's pair count regardless of
     // enumeration mode, so pairs/sec is comparable across engines — the
     // number the perf gate watches. This is the checkpointable phase.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/memberships");
-    let out = if alloc {
-        // Baseline timing mode: the pre-scratch path. The per-task
-        // accumulators are folded commutatively, so the totals (and the
-        // supervision verdict the sweep now reports) match the
-        // supervised path's.
-        use ccmm::core::enumerate::for_each_observer;
-        use ccmm::core::sweep::supervisor::CountsState;
-        use ccmm::core::sweep::sweep_computations;
-        use std::ops::ControlFlow;
-        sweep_computations(
-            &u,
-            &cfg,
-            || CountsState::new(models.len()),
-            |acc, _, c, w| {
-                let _ = for_each_observer(c, |phi| {
-                    acc.pairs += w;
-                    for (i, m) in models.iter().enumerate() {
-                        acc.per_model[i] += w * m.contains(c, phi) as u64;
-                    }
-                    ControlFlow::Continue(())
-                });
-            },
-        )
-        .map(|per_task| {
-            let mut total = CountsState::new(models.len());
-            for cs in per_task {
-                total.pairs += cs.pairs;
-                for (i, n) in cs.per_model.iter().enumerate() {
-                    total.per_model[i] += n;
-                }
-            }
-            total
-        })
-    } else if lane {
-        memberships_lanes_supervised(
-            &models,
-            &u,
-            &cfg,
-            &sup,
-            resume_state,
-            writer.as_mut().map(|w| (w, ckpt_every)),
-        )
+    let journal = writer.as_mut().map(|w| (w, ckpt_every));
+    let out = if lane {
+        memberships(Lane64, &models, &u, &cfg, &sup, resume_state, journal)
     } else {
-        memberships_supervised(
-            &models,
-            &u,
-            &cfg,
-            &sup,
-            resume_state,
-            writer.as_mut().map(|w| (w, ckpt_every)),
-        )
+        memberships(Scalar, &models, &u, &cfg, &sup, resume_state, journal)
     };
     drop(phase_span);
     let wall = t0.elapsed();
@@ -669,8 +600,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
             println!("resume with --resume {path}");
         }
-        let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {path}", records.len());
+        emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+        println!("recorded {} sweep record(s) to {bench_json}", records.len());
         tel.write()?;
         return Ok(exit::PARTIAL);
     }
@@ -681,8 +612,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
              constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
         );
         tel.write()?;
-        let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {path}", records.len());
+        emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+        println!("recorded {} sweep record(s) to {bench_json}", records.len());
         if gate && worst == SweepStatus::Complete {
             let b = baseline.as_ref().expect("gate precondition checked above");
             println!(
@@ -714,29 +645,25 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     }
 
     // Phase 2: the full pairwise relation lattice (Figure 1 at this
-    // bound), under the same supervisor (the fault plan spans all
-    // phases; a task-indexed fault re-fires wherever that index recurs).
-    // The lane engine decides lattice cells through the same verdict-mask
-    // kernels as phase 1.
+    // bound), read off the separation mask phase 1 folded — no second
+    // sweep. It covers exactly the pairs the counts cover, so tasks
+    // quarantined in phase 1 degrade it too.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/lattice");
-    let lat = if lane {
-        lattice_lanes_supervised(&models, &u, &cfg, &sup)
-    } else {
-        lattice_supervised(&models, &u, &cfg, &sup)
-    };
+    let lattice = out.value.lattice(&models);
+    let lattice_status =
+        if out.quarantined.is_empty() { SweepStatus::Complete } else { SweepStatus::Degraded };
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("lattice", wall);
-    report_quarantine("lattice", &lat.quarantined);
-    worst = worst.max(lat.status);
-    println!("lattice [{:.2?}] ({}):", wall, status_name(lat.status));
+    worst = worst.max(lattice_status);
+    println!("lattice [{:.2?}] ({}):", wall, status_name(lattice_status));
     print!("{:<6}", "");
     for m in &models {
         print!("{:>4}", m.name());
     }
     println!();
-    for row in &lat.value {
+    for row in &lattice {
         print!("  {:<4}", row.name);
         for r in &row.relations {
             print!("{:>4}", r.to_string());
@@ -745,7 +672,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     }
     records.push(
         SweepRecord::new("cli_sweep/lattice", engine, &u, cfg.threads, wall, 0, 0)
-            .with_status(status_name(lat.status)),
+            .with_status(status_name(lattice_status)),
     );
 
     // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
@@ -831,8 +758,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
                 println!("resume with --resume {path}");
             }
-            let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-            println!("recorded {} sweep record(s) to {path}", records.len());
+            emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+            println!("recorded {} sweep record(s) to {bench_json}", records.len());
             tel.write()?;
             return Ok(exit::PARTIAL);
         }
@@ -914,11 +841,12 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
             .into_iter()
             .map(|(experiment, phase_engine)| {
-                (experiment, latest_matching(experiment, phase_engine, &u, cfg.threads))
+                let b = latest_matching(bench_json, experiment, phase_engine, &u, cfg.threads);
+                (experiment, b)
             })
             .collect();
-    let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("recorded {} sweep record(s) to {path}", records.len());
+    emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+    println!("recorded {} sweep record(s) to {bench_json}", records.len());
     if gate && worst == SweepStatus::Complete {
         // `baseline` was verified Some before the sweep started.
         let b = baseline.expect("gate precondition checked above");
@@ -1309,7 +1237,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     })
 }
 
-fn cmd_watch(args: &[String]) -> Result<u8, String> {
+fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
     use ccmm::backer::FaultInjection;
     use ccmm::core::ckpt;
     use ccmm::core::sweep::supervisor::SweepStatus;
@@ -1404,6 +1332,7 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
     // baseline must not silently record itself as one.
     let total = trace.node_count();
     let baseline = latest_matching_shape(
+        bench_json,
         &format!("watch/{workload}"),
         "stream",
         total as u64,
@@ -1519,8 +1448,8 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         status: status_name(report.status).to_string(),
         counters: tel.last_counters(),
     };
-    let path = emit(&[record]).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("bench: appended watch/{workload} [stream] to {path}");
+    emit(bench_json, &[record]).map_err(|e| format!("writing bench json: {e}"))?;
+    println!("bench: appended watch/{workload} [stream] to {bench_json}");
 
     if report.status == SweepStatus::Partial {
         println!(
@@ -1881,7 +1810,8 @@ USAGE:
              [--ckpt-every K] [--resume PATH]
              [--trace FILE] [--metrics FILE] [--progress]
                                            exhaustive verification at bound N
-                                           (N ≤ 5): memberships, lattice, NN*
+                                           (N ≤ 5): memberships, lattice (read
+                                           off the memberships pass), NN*
                                            fixpoint, constructibility; appends
                                            timings to BENCH_sweep.json; --gate
                                            fails on >2x throughput regression
@@ -1907,7 +1837,8 @@ USAGE:
                                            --metrics writes per-phase counters
                                            (JSON; counter values bit-identical
                                            across thread counts for the
-                                           memberships and fixpoint phases),
+                                           memberships, lattice and fixpoint
+                                           phases),
                                            --trace writes span events (JSONL),
                                            --progress heartbeats on stderr
   ccmm conformance [--nodes N] [--locs L] [--random K] [--seed S] [--threads T]
@@ -2020,6 +1951,9 @@ fn main() -> ExitCode {
     // 2 usage or I/O error, and for `sweep` additionally 3 degraded,
     // 4 partial (deadline), 5 gate-without-baseline, 70 killed by the
     // fault plan.
+    // The timing-record file is read from `CCMM_BENCH_JSON` here, once,
+    // and handed to the commands that record or gate on timings.
+    let bench_json = ccmm_bench::report::bench_json_path();
     let result: Result<u8, String> = match cmd.as_str() {
         "models" => cmd_models(rest).map(|()| 0),
         "check" => cmd_check(rest).map(|ok| if ok { 0 } else { 1 }),
@@ -2027,10 +1961,10 @@ fn main() -> ExitCode {
         "litmus" => cmd_litmus(rest).map(|()| 0),
         "backer" => cmd_backer(rest).map(|()| 0),
         "lattice" => cmd_lattice(rest).map(|()| 0),
-        "sweep" => cmd_sweep(rest),
+        "sweep" => cmd_sweep(rest, &bench_json),
         "conformance" => cmd_conformance(rest).map(|ok| if ok { 0 } else { 1 }),
         "stress" => cmd_stress(rest),
-        "watch" => cmd_watch(rest),
+        "watch" => cmd_watch(rest, &bench_json),
         "serve" => cmd_serve(rest),
         "query" => cmd_query(rest),
         "dot" => cmd_dot(rest).map(|()| 0),

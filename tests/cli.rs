@@ -290,13 +290,14 @@ fn sweep_lane64_flag_validation() {
     let out = cmd.args(["--bound", "3", "--engine", "lane64"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("requires --canonical"));
-    // --alloc is the scalar baseline mode.
+    // `--alloc` is not a flag.
     let (mut cmd, _) = sweep_cmd("lane-alloc");
     let out = cmd
         .args(["--bound", "3", "--canonical", "--alloc", "--engine", "lane64"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown flag `--alloc`"));
     // Unknown engines are rejected with the valid set.
     let (mut cmd, _) = sweep_cmd("lane-bogus");
     let out = cmd.args(["--bound", "3", "--canonical", "--engine", "warp"]).output().unwrap();
@@ -483,7 +484,18 @@ fn sweep_resume_rejects_a_mismatched_fingerprint() {
     let out = cmd.args(["--bound", "3", "--canonical", "--resume"]).arg(&ckpt).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("fingerprint mismatch"));
-    for p in [&ckpt, &json1, &json2] {
+    // A v1 journal — counts without the lattice's separation mask — of
+    // the very same universe is refused the same way.
+    let v1 = std::env::temp_dir().join(format!("ccmm-cli-fpmm-v1-{}", std::process::id()));
+    let fingerprint = "ccmm-sweep-v1 bound=4 locs=1 canonical=true engine=canonical";
+    drop(ccmm::core::ckpt::CkptWriter::create(&v1, fingerprint).unwrap());
+    let (mut cmd, json3) = sweep_cmd("fpmm-v1");
+    let out = cmd.args(["--bound", "4", "--canonical", "--resume"]).arg(&v1).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("fingerprint mismatch"), "{err}");
+    assert!(err.contains("this run is `ccmm-sweep-v2 bound=4"), "{err}");
+    for p in [&ckpt, &v1, &json1, &json2, &json3] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -14,7 +14,7 @@ use ccmm::core::ckpt::{Checkpoint, CkptWriter};
 use ccmm::core::fault::FaultPlan;
 use ccmm::core::relation::compare;
 use ccmm::core::sweep::supervisor::{
-    compare_supervised, decode_counts_snapshot, memberships_supervised, Supervisor, SweepStatus,
+    self, decode_counts_snapshot, memberships, Scalar, Supervisor, SweepStatus,
 };
 use ccmm::core::sweep::SweepConfig;
 use ccmm::core::universe::Universe;
@@ -29,7 +29,8 @@ fn temp(name: &str) -> std::path::PathBuf {
 #[test]
 fn kill_resume_is_bit_identical_at_bound_4_canonical() {
     let u = Universe::new(4, 1);
-    let serial = memberships_supervised(
+    let serial = memberships(
+        Scalar,
         &MODELS,
         &u,
         &SweepConfig::serial().canonical(true),
@@ -49,7 +50,7 @@ fn kill_resume_is_bit_identical_at_bound_4_canonical() {
         // left exactly as a real kill would leave it.
         let mut w = CkptWriter::create(&path, fingerprint).unwrap();
         let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
-        let killed = memberships_supervised(&MODELS, &u, &cfg, &sup, None, Some((&mut w, 1)));
+        let killed = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, Some((&mut w, 1)));
         assert_eq!(killed.status, SweepStatus::Killed, "at {threads} threads");
         assert!(killed.frontier.len() < killed.total_tasks, "the kill left work undone");
         drop(w);
@@ -60,7 +61,8 @@ fn kill_resume_is_bit_identical_at_bound_4_canonical() {
         let snap = decode_counts_snapshot(loaded.latest().expect("at least one snapshot"))
             .expect("snapshot decodes");
         let mut w = CkptWriter::append_to(&path).unwrap();
-        let resumed = memberships_supervised(
+        let resumed = memberships(
+            Scalar,
             &MODELS,
             &u,
             &cfg,
@@ -89,7 +91,7 @@ fn quarantined_panic_preserves_other_witnesses_at_bound_4() {
     for threads in [1usize, 2, 4] {
         let cfg = SweepConfig::with_threads(threads);
         let sup = Supervisor::with_fault(FaultPlan::none().panic_at_task(0));
-        let out = compare_supervised(&Model::Lc, &Model::Nn, &u, &cfg, &sup);
+        let out = supervisor::compare(Scalar, &Model::Lc, &Model::Nn, &u, &cfg, &sup);
         assert_eq!(out.status, SweepStatus::Degraded, "at {threads} threads");
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].task_idx, 0);
@@ -108,7 +110,8 @@ fn ckpt_io_error_degrades_without_losing_any_verdicts() {
     // deliver verdicts bit-identical to a clean run, and complete
     // Degraded (not Complete — resumability is gone; not a panic).
     let u = Universe::new(4, 1);
-    let clean = memberships_supervised(
+    let clean = memberships(
+        Scalar,
         &MODELS,
         &u,
         &SweepConfig::serial().canonical(true),
@@ -122,7 +125,7 @@ fn ckpt_io_error_degrades_without_losing_any_verdicts() {
         let _ = std::fs::remove_file(&path);
         let mut w = CkptWriter::create(&path, "it io-error").unwrap();
         let sup = Supervisor::with_fault(FaultPlan::none().io_error_at_record(2));
-        let out = memberships_supervised(&MODELS, &u, &cfg, &sup, None, Some((&mut w, 1)));
+        let out = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, Some((&mut w, 1)));
         assert_eq!(out.status, SweepStatus::Degraded, "at {threads} threads");
         assert!(out.quarantined.is_empty(), "no task was quarantined — journalling failed");
         let err = out.ckpt_error.as_deref().expect("the I/O error is surfaced");
@@ -143,9 +146,9 @@ fn ckpt_io_error_degrades_without_losing_any_verdicts() {
 fn transient_panic_heals_to_a_complete_bit_identical_sweep() {
     let u = Universe::new(4, 1);
     let cfg = SweepConfig::with_threads(2).canonical(true);
-    let clean = memberships_supervised(&MODELS, &u, &cfg, &Supervisor::none(), None, None);
+    let clean = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None);
     let sup = Supervisor::with_fault(FaultPlan::none().panic_once_at_task(1));
-    let healed = memberships_supervised(&MODELS, &u, &cfg, &sup, None, None);
+    let healed = memberships(Scalar, &MODELS, &u, &cfg, &sup, None, None);
     assert_eq!(healed.status, SweepStatus::Complete, "retry must absorb a transient fault");
     assert!(healed.quarantined.is_empty());
     assert_eq!(healed.value, clean.value);

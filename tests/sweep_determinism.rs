@@ -1,54 +1,56 @@
 //! Pins the sweep engine's determinism contract across thread counts:
 //! counts AND witnesses must be bit-identical to the serial scan at
-//! `CCMM_THREADS` ∈ {1, 2, 4, 7}, both when the count is passed
-//! explicitly and when it arrives through the environment variable.
-//!
-//! Everything lives in ONE test function: `CCMM_THREADS` is process
-//! global, and the test harness runs `#[test]` functions concurrently —
-//! two tests mutating the variable would race.
+//! 1, 2, 4 and 7 threads, both when the count is passed explicitly and
+//! when it arrives as a `CCMM_THREADS` value (parsed here directly, so
+//! no test touches the process environment).
 
 use ccmm::core::model::Model;
-use ccmm::core::relation::compare;
-use ccmm::core::sweep::{compare_par, sweep_computations, SweepConfig};
+use ccmm::core::relation::{compare, Comparison};
+use ccmm::core::sweep::supervisor::{self, sweep_supervised, Scalar, Supervisor};
+use ccmm::core::sweep::SweepConfig;
 use ccmm::core::universe::Universe;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+fn par_compare(u: &Universe, cfg: &SweepConfig) -> Comparison {
+    supervisor::compare(Scalar, &Model::Lc, &Model::Nn, u, cfg, &Supervisor::none())
+        .expect_complete("compare")
+}
+
+/// Weighted computation count of a sweep.
+fn weighted_count(u: &Universe, cfg: &SweepConfig) -> u128 {
+    let count = |acc: &mut u128, _: &mut (), _, _: &_, w| *acc += u128::from(w);
+    sweep_supervised(u, cfg, &Supervisor::none(), None, None, || 0, || (), count)
+        .expect_complete("counting sweep")
+}
 
 #[test]
 fn sweeps_are_bit_identical_to_serial_at_every_thread_count() {
     let u = Universe::new(3, 1);
     let serial = compare(&Model::Lc, &Model::Nn, &u);
-    let serial_counts: usize =
-        sweep_computations(&u, &SweepConfig::serial(), || 0usize, |acc, _, _, _| *acc += 1)
-            .expect_complete("serial counting sweep")
-            .iter()
-            .sum();
-    assert_eq!(serial_counts, u.count_computations());
+    let serial_counts = weighted_count(&u, &SweepConfig::serial());
+    assert_eq!(serial_counts, u.count_computations() as u128);
 
     for threads in THREAD_COUNTS {
         // Explicit thread count.
         let cfg = SweepConfig::with_threads(threads);
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &cfg), threads);
-        let counts: usize = sweep_computations(&u, &cfg, || 0usize, |acc, _, _, _| *acc += 1)
-            .expect_complete("counting sweep")
-            .iter()
-            .sum();
-        assert_eq!(counts, serial_counts, "count drift at {threads} threads");
+        check_identical(&serial, &par_compare(&u, &cfg), threads);
+        assert_eq!(weighted_count(&u, &cfg), serial_counts, "count drift at {threads} threads");
 
-        // Same thread count by way of CCMM_THREADS.
-        std::env::set_var("CCMM_THREADS", threads.to_string());
-        let env_cfg = SweepConfig::from_env();
-        assert_eq!(env_cfg.threads, threads, "CCMM_THREADS not honoured");
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &env_cfg), threads);
+        // Same thread count by way of a CCMM_THREADS value.
+        let var_cfg = SweepConfig::from_threads_var(Some(&threads.to_string()));
+        assert_eq!(var_cfg.threads, threads, "CCMM_THREADS value not honoured");
+        check_identical(&serial, &par_compare(&u, &var_cfg), threads);
     }
-    std::env::remove_var("CCMM_THREADS");
 
-    // Garbage and empty values fall back to available parallelism (≥ 1).
-    std::env::set_var("CCMM_THREADS", "not-a-number");
-    assert!(SweepConfig::from_env().threads >= 1);
-    std::env::set_var("CCMM_THREADS", "0");
-    assert!(SweepConfig::from_env().threads >= 1, "zero threads must be rejected");
-    std::env::remove_var("CCMM_THREADS");
+    // Unset, garbage and zero values fall back to available parallelism
+    // (≥ 1).
+    let fallback = SweepConfig::from_threads_var(None).threads;
+    assert!(fallback >= 1);
+    for value in ["not-a-number", "0", ""] {
+        let threads = SweepConfig::from_threads_var(Some(value)).threads;
+        assert_eq!(threads, fallback, "{value:?} must fall back, not be taken");
+    }
 }
 
 #[test]
@@ -61,21 +63,16 @@ fn canonical_sweep_is_bit_identical_at_bound_4() {
     let closed = u.count_computations_closed();
     for threads in [1, 2, 4] {
         let cfg = SweepConfig::with_threads(threads).canonical(true);
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &cfg), threads);
-        let weighted: u128 =
-            sweep_computations(&u, &cfg, || 0u128, |acc, _, _, w| *acc += w as u128)
-                .expect_complete("weighted sweep")
-                .iter()
-                .sum();
-        assert_eq!(weighted, closed, "orbit-weighted total drift at {threads} threads");
+        check_identical(&serial, &par_compare(&u, &cfg), threads);
+        assert_eq!(
+            weighted_count(&u, &cfg),
+            closed,
+            "orbit-weighted total drift at {threads} threads"
+        );
     }
 }
 
-fn check_identical(
-    serial: &ccmm::core::relation::Comparison,
-    par: &ccmm::core::relation::Comparison,
-    threads: usize,
-) {
+fn check_identical(serial: &Comparison, par: &Comparison, threads: usize) {
     assert_eq!(serial.relation, par.relation, "relation drift at {threads} threads");
     assert_eq!(serial.both, par.both, "count drift at {threads} threads");
     assert_eq!(serial.a_total, par.a_total, "count drift at {threads} threads");
