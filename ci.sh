@@ -148,7 +148,7 @@ diff <(fixline "$scratch/fix-clean.out") <(fixline "$scratch/fix-resumed.out") \
 diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed.out") \
     || { echo "lane fixpoint differs from the scalar worklist"; exit 1; }
 
-echo "== stress smoke: perturbed-executor conformance + seeded-mutation self-test =="
+echo "== stress smoke: perturbed-executor conformance, self-test, kill/resume, journal failure =="
 # The self-test proves the oracle has teeth (a seeded skip-reconcile
 # mutation must be caught and shrunk, and the same seeds must pass
 # unmutated); then a fixed-seed 200-iteration perturbed run at 4 threads
@@ -160,6 +160,28 @@ grep -q "caught, and clean executor passes" "$scratch/stress-self.out"
 ccmm stress --seed 20260808 --iters 200 --threads 4 > "$scratch/stress.out" \
     || { cat "$scratch/stress.out"; echo "stress smoke failed"; exit 1; }
 grep -q "completed 200/200" "$scratch/stress.out"
+# Journalling: a run killed after two records (exit 70) must resume to
+# the uninterrupted run's completed/checks line, and a failed journal
+# append must degrade the run (exit 3) while still checking everything.
+completed() { grep "^completed " "$1" | sed 's/ \[[^]]*\]//'; }
+rc=0
+ccmm stress --seed 20260808 --iters 200 --threads 4 --ckpt "$scratch/stress.ckpt" \
+    --ckpt-every 1 --fault kill-after-ckpt=2 > /dev/null 2>&1 || rc=$?
+[[ "$rc" == 70 ]] || { echo "expected stress killed exit 70, got $rc"; exit 1; }
+ccmm stress --seed 20260808 --iters 200 --threads 4 --resume "$scratch/stress.ckpt" \
+    > "$scratch/stress-resumed.out" 2>/dev/null \
+    || { echo "stress resume failed"; exit 1; }
+diff <(completed "$scratch/stress.out") <(completed "$scratch/stress-resumed.out") \
+    || { echo "resumed stress run differs from the uninterrupted run"; exit 1; }
+rc=0
+ccmm stress --seed 20260808 --iters 200 --threads 4 --ckpt "$scratch/stress-io.ckpt" \
+    --ckpt-every 1 --fault io-error-at-record=1 > "$scratch/stress-io.out" \
+    2> "$scratch/stress-io.err" || rc=$?
+[[ "$rc" == 3 ]] || { echo "expected stress journal-failure exit 3, got $rc"; exit 1; }
+grep -q "checkpoint journalling failed" "$scratch/stress-io.err"
+diff <(completed "$scratch/stress.out" | sed 's/ (complete)//') \
+    <(completed "$scratch/stress-io.out" | sed 's/ (degraded)//') \
+    || { echo "a journal failure changed the stress check count"; exit 1; }
 
 echo "== telemetry smoke: counters deterministic across thread counts =="
 # --metrics counter values for the memberships, lattice and fixpoint

@@ -61,10 +61,11 @@ pub mod threads;
 pub mod timing;
 pub mod verify;
 
+pub use cache::LeanCache;
 pub use config::{BackerConfig, FaultInjection};
 pub use perturb::PerturbPlan;
 pub use schedule::Schedule;
 pub use sim::{run, SimResult};
 pub use stats::Stats;
-pub use stream::{block_cyclic_proc, run_stream, LeanCache, StreamRunner};
+pub use stream::{block_cyclic_proc, run_stream, StreamRunner};
 pub use verify::{verify, ModelProfile, VerifyReport};

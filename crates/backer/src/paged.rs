@@ -9,7 +9,7 @@
 //! word sets are disjoint — which is exactly the race-free case.
 //!
 //! [`PagedCache`] implements the same [`CacheOps`] protocol surface as the
-//! word-granular [`crate::cache::Cache`], so the simulator runs over
+//! word-granular [`crate::cache::LeanCache`], so the simulator runs over
 //! either; experiment E10's page-size sweep shows the fetch-traffic /
 //! false-sharing trade-off the Cilk papers measured.
 
@@ -316,11 +316,11 @@ mod tests {
 
     #[test]
     fn page_size_one_behaves_like_word_cache() {
-        use crate::cache::Cache;
+        use crate::cache::LeanCache;
         let mut mem1 = MainMemory::new(4);
         let mut mem2 = MainMemory::new(4);
         let mut paged = PagedCache::new(4, 1, 2);
-        let mut word = Cache::new(4, 2);
+        let mut word = LeanCache::new(2);
         let mut s1 = Stats::default();
         let mut s2 = Stats::default();
         let script: Vec<(bool, usize, Token)> =

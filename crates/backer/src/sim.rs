@@ -19,7 +19,7 @@
 //! Luchangco \[Luc97\] proves BACKER maintains LC; experiment E9 verifies
 //! every simulated execution against the LC checker.
 
-use crate::cache::Cache;
+use crate::cache::LeanCache;
 use crate::config::BackerConfig;
 use crate::memory::{node_of, token_of, MainMemory};
 use crate::schedule::Schedule;
@@ -41,7 +41,7 @@ pub struct SimResult {
 ///
 /// Panics if the schedule fails validation.
 pub fn run(c: &Computation, schedule: &Schedule, config: &BackerConfig) -> SimResult {
-    run_with_caches(c, schedule, config, |nl| Cache::new(nl, config.cache_capacity.max(1)))
+    run_with_caches(c, schedule, config, |_| LeanCache::new(config.cache_capacity.max(1)))
 }
 
 /// Runs BACKER with page-granular caches of `page_size` words and

@@ -6,8 +6,8 @@
 //! prohibitive at the 10⁵–10⁷-node scale that `ccmm watch` targets. This
 //! module runs the same flush-before / reconcile-after protocol with:
 //!
-//! * occupancy-bounded caches (a hash map of resident lines, so a flush
-//!   costs O(occupancy), not O(L));
+//! * occupancy-bounded caches ([`LeanCache`]: a hash map of resident
+//!   lines, so a flush costs O(occupancy), not O(L));
 //! * per-node probing of the executed node's **own** location only —
 //!   exactly the observation the streaming membership checker needs
 //!   (everything else is completed by the last-writer function, Def. 13);
@@ -20,12 +20,11 @@
 //! [`crate::config::FaultInjection`] apply as in the dense simulator, so
 //! `watch --fault` can stream genuine LC violations.
 
-use std::collections::HashMap;
-
+use crate::cache::{CacheOps, LeanCache};
 use crate::config::BackerConfig;
-use crate::memory::{node_of, token_of, MainMemory, Token};
+use crate::memory::{node_of, token_of, MainMemory};
 use crate::stats::Stats;
-use ccmm_core::{Location, Op};
+use ccmm_core::Op;
 use ccmm_dag::{Dag, NodeId};
 
 /// The processor that executes node `index` under a block-cyclic
@@ -35,110 +34,6 @@ use ccmm_dag::{Dag, NodeId};
 #[inline]
 pub fn block_cyclic_proc(index: usize, block: usize, processors: usize) -> usize {
     (index / block.max(1)) % processors.max(1)
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    value: Token,
-    dirty: bool,
-    /// LRU clock stamp of the most recent touch.
-    stamp: u64,
-}
-
-/// A processor cache storing only its resident lines, so whole-cache
-/// operations cost O(occupancy) instead of O(num_locations). Protocol
-/// semantics (fetch / reconcile / flush / LRU eviction) match
-/// [`crate::cache::Cache`] line for line.
-#[derive(Debug, Default)]
-pub struct LeanCache {
-    lines: HashMap<usize, Line>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl LeanCache {
-    /// An empty cache holding at most `capacity` lines.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        LeanCache { lines: HashMap::new(), capacity, clock: 0 }
-    }
-
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Non-perturbing lookup (no LRU update, no fetch).
-    pub fn peek(&self, l: Location) -> Option<Token> {
-        self.lines.get(&l.index()).map(|line| line.value)
-    }
-
-    fn evict_lru(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        let victim = self
-            .lines
-            .iter()
-            .min_by_key(|&(_, line)| line.stamp)
-            .map(|(&i, _)| i)
-            .expect("evict called on empty cache");
-        let line = self.lines.remove(&victim).expect("victim resident");
-        stats.evictions += 1;
-        if line.dirty {
-            mem.store(Location::new(victim), line.value);
-            stats.reconciles += 1;
-        }
-    }
-
-    fn make_room(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        while self.lines.len() >= self.capacity {
-            self.evict_lru(mem, stats);
-        }
-    }
-
-    /// A processor read: cache hit, or fetch from main memory.
-    pub fn read(&mut self, l: Location, mem: &mut MainMemory, stats: &mut Stats) -> Token {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(line) = self.lines.get_mut(&l.index()) {
-            stats.hits += 1;
-            line.stamp = clock;
-            return line.value;
-        }
-        stats.misses += 1;
-        stats.fetches += 1;
-        self.make_room(mem, stats);
-        let value = mem.load(l);
-        self.lines.insert(l.index(), Line { value, dirty: false, stamp: clock });
-        value
-    }
-
-    /// A processor write: install the token dirty (write-allocate).
-    pub fn write(&mut self, l: Location, t: Token, mem: &mut MainMemory, stats: &mut Stats) {
-        if !self.lines.contains_key(&l.index()) {
-            self.make_room(mem, stats);
-        }
-        self.clock += 1;
-        self.lines.insert(l.index(), Line { value: t, dirty: true, stamp: self.clock });
-        stats.writes += 1;
-    }
-
-    /// Reconciles every dirty line (write back, mark clean).
-    pub fn reconcile_all(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        for (&i, line) in self.lines.iter_mut() {
-            if line.dirty {
-                mem.store(Location::new(i), line.value);
-                line.dirty = false;
-                stats.reconciles += 1;
-            }
-        }
-    }
-
-    /// Flushes the whole cache: reconcile dirty lines, then drop
-    /// everything.
-    pub fn flush_all(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        self.reconcile_all(mem, stats);
-        self.lines.clear();
-        stats.flushes += 1;
-    }
 }
 
 /// A resumable streaming BACKER execution: one [`step`](StreamRunner::step)
@@ -321,20 +216,5 @@ mod tests {
             let cfg = BackerConfig::with_processors(2).faults(faults);
             assert_stream_matches_sim(&trace, &cfg, 3);
         }
-    }
-
-    #[test]
-    fn lean_cache_lru_evicts_and_reconciles() {
-        let mut mem = MainMemory::new(3);
-        let mut cache = LeanCache::new(2);
-        let mut stats = Stats::default();
-        cache.write(Location::new(0), 1, &mut mem, &mut stats);
-        cache.write(Location::new(1), 2, &mut mem, &mut stats);
-        cache.read(Location::new(0), &mut mem, &mut stats); // l1 becomes LRU
-        cache.write(Location::new(2), 3, &mut mem, &mut stats); // evicts l1
-        assert_eq!(cache.occupancy(), 2);
-        assert_eq!(cache.peek(Location::new(1)), None);
-        assert_eq!(mem.load(Location::new(1)), 2, "dirty victim written back");
-        assert_eq!(stats.evictions, 1);
     }
 }

@@ -17,7 +17,7 @@
 //! memory lock is the transport for both tokens and happens-before: a
 //! reconcile (release of the lock) precedes the dependent fetch (acquire).
 
-use crate::cache::Cache;
+use crate::cache::LeanCache;
 use crate::config::BackerConfig;
 use crate::memory::{node_of, token_of, MainMemory};
 use crate::perturb::{self, PerturbPlan};
@@ -82,7 +82,7 @@ pub fn run(c: &Computation, config: &BackerConfig) -> ThreadedResult {
 /// each node, seeded steal-victim rotation. The protocol (and therefore
 /// the LC guarantee) is untouched — only the schedule is jostled.
 pub fn run_perturbed(c: &Computation, config: &BackerConfig, plan: &PerturbPlan) -> ThreadedResult {
-    run_with_caches_perturbed(c, config, plan, |nl| Cache::new(nl, config.cache_capacity.max(1)))
+    run_with_caches_perturbed(c, config, plan, |_| LeanCache::new(config.cache_capacity.max(1)))
 }
 
 /// Executes `c` on worker threads with page-granular caches (capacity in

@@ -14,7 +14,7 @@
 //! component; protocol costs push the measured makespan above it by the
 //! coherence overhead the experiments quantify.
 
-use crate::cache::Cache;
+use crate::cache::{CacheOps, LeanCache};
 use crate::config::BackerConfig;
 use crate::memory::{token_of, MainMemory};
 use crate::stats::Stats;
@@ -97,8 +97,8 @@ pub fn run<R: Rng + ?Sized>(
     let n = c.node_count();
     let num_locations = c.num_locations();
     let mut mem = MainMemory::new(num_locations);
-    let mut caches: Vec<Cache> =
-        (0..p).map(|_| Cache::new(num_locations, config.cache_capacity.max(1))).collect();
+    let mut caches: Vec<LeanCache> =
+        (0..p).map(|_| LeanCache::new(config.cache_capacity.max(1))).collect();
     let mut stats_per: Vec<Stats> = vec![Stats::default(); p];
 
     let mut indeg: Vec<usize> = (0..n).map(|u| c.dag().in_degree(NodeId::new(u))).collect();

@@ -25,21 +25,18 @@ pub mod lanes;
 
 use crate::computation::Computation;
 use crate::enumerate::for_each_observer;
-use crate::fault::{payload_string, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
 use crate::props::any_extension;
-use crate::sweep::supervisor::Quarantined;
-use crate::sweep::supervisor::{sweep_supervised, Supervisor};
-use crate::sweep::SweepConfig;
+use crate::sweep::supervisor::{retry_once, sweep_supervised, Quarantined, Supervisor};
+use crate::sweep::{pop, run_workers, SweepConfig};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 use ccmm_dag::bitset::BitSet;
 use ccmm_dag::NodeId;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The result of the bounded Δ* fixpoint computation.
@@ -148,7 +145,7 @@ impl BoundedConstructible {
     }
 
     /// [`compute_worklist`] under supervision: every initial-pass
-    /// extension check runs under `catch_unwind` with `fault`'s
+    /// extension check runs under [`retry_once`] with `fault`'s
     /// [`FaultPlan::before_fixpoint_check`] hook. A panicking check is
     /// retried once; a second panic quarantines that computation's checks
     /// (reported in [`BoundedConstructible::quarantined`], identifying
@@ -209,61 +206,29 @@ impl BoundedConstructible {
                 any_extension(&aug, phi, |phi2| survivors.contains(phi2))
             })
         };
-        // Each interior computation's checks run under `catch_unwind`
+        // Each interior computation's checks run under `retry_once`
         // (retried once, quarantined on a second panic — the quarantined
         // computation keeps its pairs, preserving the fixpoint's
         // over-approximation invariant), so one panicking augmentation
         // step degrades the result instead of aborting the run.
-        let next = AtomicUsize::new(0);
         let quarantine = Mutex::new(Vec::new());
-        let worker = || {
-            let mut q = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&c) = interior.get(i) else { break };
-                let attempt = || {
+        let per_worker = run_workers((0..interior.len()).collect(), cfg.threads, |inj| {
+            let mut failed = Vec::new();
+            while let Some(i) = pop(inj) {
+                let c = interior[i];
+                let attempt = |_: &mut ()| {
                     fault.before_fixpoint_check(i);
-                    let mut failed = Vec::new();
-                    for phi in &pairs[c] {
-                        if !check_one(c, phi) {
-                            failed.push((c.clone(), phi.clone()));
-                        }
-                    }
-                    failed
+                    pairs[c].iter().filter(|phi| !check_one(c, phi)).cloned().collect::<Vec<_>>()
                 };
-                match catch_unwind(AssertUnwindSafe(attempt)) {
-                    Ok(failed) => q.extend(failed),
-                    Err(_first) => match catch_unwind(AssertUnwindSafe(attempt)) {
-                        Ok(failed) => q.extend(failed),
-                        Err(second) => {
-                            telemetry::count(Counter::Quarantines, 1);
-                            quarantine.lock().unwrap().push(Quarantined {
-                                task_idx: i,
-                                size: c.node_count(),
-                                payload: payload_string(second),
-                            });
-                        }
-                    },
+                match retry_once(i, c.node_count(), &mut (), || (), attempt) {
+                    Ok(phis) => failed.extend(phis.into_iter().map(|phi| (c.clone(), phi))),
+                    Err(q) => quarantine.lock().unwrap().push(q),
                 }
             }
-            q
-        };
-        let mut queue: Vec<(Computation, ObserverFunction)> = if cfg.threads == 1 {
-            worker()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..cfg.threads).map(|_| s.spawn(worker)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| {
-                        // Checks are caught above, so a worker can only die
-                        // outside the quarantined region — propagate that
-                        // panic unchanged rather than masking it.
-                        h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
-                    })
-                    .collect()
-            })
-        };
+            failed
+        });
+        let mut queue: Vec<(Computation, ObserverFunction)> =
+            per_worker.into_iter().flatten().collect();
         let mut quarantined = quarantine.into_inner().unwrap();
         quarantined.sort_by_key(|q| q.task_idx);
 

@@ -7,11 +7,17 @@
 //! positions from a splitmix64 stream over the plan's `seed`, keeping
 //! even "random" placement a pure function of the spec string.
 //!
-//! The plan is consulted by the supervised sweep engine
-//! ([`crate::sweep::supervisor`]), the Δ* worklist fixpoint
-//! ([`crate::constructible`]), and the checkpoint writer
-//! ([`crate::ckpt`]). An empty plan (the default) injects nothing and
-//! costs a branch per hook.
+//! The plan is consulted by the supervised sweep engine and its
+//! checkpoint cadence ([`crate::sweep::supervisor`]) and by the Δ*
+//! initial passes ([`crate::constructible`]). An empty plan (the
+//! default) injects nothing and costs a branch per hook.
+//!
+//! Its siblings [`PerturbPlan`] (executor schedules) and
+//! [`ServeFaultPlan`] (daemon requests) share the spec grammar: all three
+//! parse through one entry tokenizer, render through one writer, and
+//! draw seeded decisions from the one [`splitmix64`]. Each keeps its own
+//! typed fields and hooks — fire counters, per-position decision hashes
+//! and per-request actions share no runtime logic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -119,43 +125,30 @@ impl FaultPlan {
     /// (pinned by `tests/proptest_fault.rs`).
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("fault spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
-            let parse = |v: &str| -> Result<usize, String> {
-                v.parse().map_err(|_| at(format!("`{v}` is not a number")))
-            };
-            match key {
+        for entry in entries(spec, "fault") {
+            let entry = entry?;
+            let value = entry.value;
+            match entry.key {
                 "panic-at-task" | "panic-once-at-task" => {
                     if value == "seeded" {
                         plan.panic_task_seeded = true;
                     } else {
-                        plan.panic_at_task = Some(parse(value)?);
+                        plan.panic_at_task = Some(entry.num(value)?);
                     }
-                    plan.panic_task_once = key == "panic-once-at-task";
+                    plan.panic_task_once = entry.key == "panic-once-at-task";
                 }
                 "delay-at-task" => {
-                    let (idx, ms) =
-                        value.split_once(':').ok_or_else(|| at("needs task:millis".into()))?;
-                    plan.delay_at_task = Some((parse(idx)?, parse(ms)? as u64));
+                    let (idx, ms) = entry.pair("task:millis")?;
+                    plan.delay_at_task = Some((entry.num(idx)?, entry.num(ms)?));
                 }
-                "kill-after-ckpt" => plan.kill_after_records = Some(parse(value)?),
-                "io-error-at-record" => plan.io_error_at_record = Some(parse(value)?),
+                "kill-after-ckpt" => plan.kill_after_records = Some(entry.num(value)?),
+                "io-error-at-record" => plan.io_error_at_record = Some(entry.num(value)?),
                 "panic-at-fixpoint" | "panic-once-at-fixpoint" => {
-                    plan.panic_at_fixpoint = Some(parse(value)?);
-                    plan.panic_fixpoint_once = key == "panic-once-at-fixpoint";
+                    plan.panic_at_fixpoint = Some(entry.num(value)?);
+                    plan.panic_fixpoint_once = entry.key == "panic-once-at-fixpoint";
                 }
-                "seed" => {
-                    plan.seed =
-                        value.parse().map_err(|_| at(format!("`{value}` is not a valid seed")))?;
-                }
-                other => return Err(at(format!("unknown fault key `{other}`"))),
+                "seed" => plan.seed = entry.seed()?,
+                _ => return Err(entry.unknown_key()),
             }
         }
         Ok(plan)
@@ -246,40 +239,21 @@ impl std::fmt::Display for FaultPlan {
     /// order they were parsed in; an empty plan renders as the empty
     /// string, which `from_spec` accepts.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
         let task_key = if self.panic_task_once { "panic-once-at-task" } else { "panic-at-task" };
-        if let Some(t) = self.panic_at_task {
-            entry(f, format!("{task_key}={t}"))?;
-        }
-        if self.panic_task_seeded {
-            entry(f, format!("{task_key}=seeded"))?;
-        }
-        if let Some((idx, ms)) = self.delay_at_task {
-            entry(f, format!("delay-at-task={idx}:{ms}"))?;
-        }
-        if let Some(k) = self.kill_after_records {
-            entry(f, format!("kill-after-ckpt={k}"))?;
-        }
-        if let Some(k) = self.io_error_at_record {
-            entry(f, format!("io-error-at-record={k}"))?;
-        }
-        if let Some(i) = self.panic_at_fixpoint {
-            let key = if self.panic_fixpoint_once {
-                "panic-once-at-fixpoint"
-            } else {
-                "panic-at-fixpoint"
-            };
-            entry(f, format!("{key}={i}"))?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        let fixpoint_key =
+            if self.panic_fixpoint_once { "panic-once-at-fixpoint" } else { "panic-at-fixpoint" };
+        render(
+            f,
+            [
+                self.panic_at_task.map(|t| format!("{task_key}={t}")),
+                self.panic_task_seeded.then(|| format!("{task_key}=seeded")),
+                self.delay_at_task.map(|(idx, ms)| format!("delay-at-task={idx}:{ms}")),
+                self.kill_after_records.map(|k| format!("kill-after-ckpt={k}")),
+                self.io_error_at_record.map(|k| format!("io-error-at-record={k}")),
+                self.panic_at_fixpoint.map(|i| format!("{fixpoint_key}={i}")),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
 }
 
@@ -346,53 +320,29 @@ impl PerturbPlan {
     /// and `from_spec ∘ to_string` is the identity.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = PerturbPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("perturb spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
-            let ratio = |v: &str| -> Result<u32, String> {
-                let den = v
-                    .strip_prefix("1/")
-                    .ok_or_else(|| at(format!("`{v}` is not a 1/K ratio")))?
-                    .parse::<u32>()
-                    .map_err(|_| at(format!("`{v}` is not a 1/K ratio")))?;
-                if den == 0 {
-                    return Err(at("ratio denominator must be at least 1".into()));
-                }
-                Ok(den)
-            };
-            match key {
-                "yield" => plan.yield_den = ratio(value)?,
+        for entry in entries(spec, "perturb") {
+            let entry = entry?;
+            match entry.key {
+                "yield" => plan.yield_den = entry.ratio(entry.value)?,
                 "spin" => {
-                    let (r, iters) =
-                        value.split_once(':').ok_or_else(|| at("needs 1/K:iters".into()))?;
-                    plan.spin_den = ratio(r)?;
-                    plan.spin_iters =
-                        iters.parse().map_err(|_| at(format!("`{iters}` is not a number")))?;
+                    let (ratio, iters) = entry.pair("1/K:iters")?;
+                    plan.spin_den = entry.ratio(ratio)?;
+                    plan.spin_iters = entry.num(iters)?;
                 }
-                "steal" => match value {
+                "steal" => match entry.value {
                     "rotate" => plan.steal_rotate = true,
-                    other => return Err(at(format!("unknown steal mode `{other}`"))),
+                    other => return Err(entry.error(format_args!("unknown steal mode `{other}`"))),
                 },
-                "seed" => {
-                    plan.seed =
-                        value.parse().map_err(|_| at(format!("`{value}` is not a valid seed")))?;
-                }
-                other => return Err(at(format!("unknown perturb key `{other}`"))),
+                "seed" => plan.seed = entry.seed()?,
+                _ => return Err(entry.unknown_key()),
             }
         }
         Ok(plan)
     }
 
-    /// The decision hash: a pure function of the plan seed, a salt
-    /// distinguishing the decision kind, and the structural position.
+    /// The plan's [`decision`] hash at `(salt, pos)`.
     fn decide(&self, salt: u64, pos: u64) -> u64 {
-        splitmix64(self.seed ^ splitmix64(salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ pos))
+        decision(self.seed, salt, pos)
     }
 
     /// Whether to yield before structural position `pos` in phase
@@ -431,25 +381,16 @@ impl std::fmt::Display for PerturbPlan {
     /// Canonical spec rendering; same identity contract as
     /// [`FaultPlan`]'s `Display`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
-        if self.yield_den != 0 {
-            entry(f, format!("yield=1/{}", self.yield_den))?;
-        }
-        if self.spin_den != 0 {
-            entry(f, format!("spin=1/{}:{}", self.spin_den, self.spin_iters))?;
-        }
-        if self.steal_rotate {
-            entry(f, "steal=rotate".to_string())?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        render(
+            f,
+            [
+                (self.yield_den != 0).then(|| format!("yield=1/{}", self.yield_den)),
+                (self.spin_den != 0)
+                    .then(|| format!("spin=1/{}:{}", self.spin_den, self.spin_iters)),
+                self.steal_rotate.then(|| "steal=rotate".to_string()),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
 }
 
@@ -524,57 +465,36 @@ impl ServeFaultPlan {
     /// Parses the spec grammar (see the type docs).
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = ServeFaultPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("serve fault spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
-            let num = |v: &str| -> Result<u64, String> {
-                v.parse().map_err(|_| at(format!("`{v}` is not a number")))
-            };
-            let ratio = |v: &str| -> Result<u64, String> {
-                let den = num(v
-                    .strip_prefix("1/")
-                    .ok_or_else(|| at(format!("`{v}` is not a 1/K ratio")))?)?;
-                if den == 0 {
-                    return Err(at("ratio denominator must be at least 1".into()));
-                }
-                Ok(den)
-            };
-            match key {
-                "panic-at-request" => plan.panic_at = Some(num(value)?),
-                "drop-at-request" => plan.drop_at = Some(num(value)?),
-                "truncate-at-request" => plan.truncate_at = Some(num(value)?),
+        for entry in entries(spec, "serve fault") {
+            let entry = entry?;
+            let value = entry.value;
+            match entry.key {
+                "panic-at-request" => plan.panic_at = Some(entry.num(value)?),
+                "drop-at-request" => plan.drop_at = Some(entry.num(value)?),
+                "truncate-at-request" => plan.truncate_at = Some(entry.num(value)?),
                 "delay-at-request" => {
-                    let (idx, ms) =
-                        value.split_once(':').ok_or_else(|| at("needs request:millis".into()))?;
-                    plan.delay_at = Some((num(idx)?, num(ms)?));
+                    let (idx, ms) = entry.pair("request:millis")?;
+                    plan.delay_at = Some((entry.num(idx)?, entry.num(ms)?));
                 }
-                "panic" => plan.panic_den = ratio(value)?,
-                "drop" => plan.drop_den = ratio(value)?,
-                "truncate" => plan.truncate_den = ratio(value)?,
+                "panic" => plan.panic_den = entry.ratio(value)?,
+                "drop" => plan.drop_den = entry.ratio(value)?,
+                "truncate" => plan.truncate_den = entry.ratio(value)?,
                 "delay" => {
-                    let (r, ms) =
-                        value.split_once(':').ok_or_else(|| at("needs 1/K:millis".into()))?;
-                    plan.delay_den = ratio(r)?;
-                    plan.delay_ms = num(ms)?;
+                    let (ratio, ms) = entry.pair("1/K:millis")?;
+                    plan.delay_den = entry.ratio(ratio)?;
+                    plan.delay_ms = entry.num(ms)?;
                 }
-                "seed" => plan.seed = num(value)?,
-                other => return Err(at(format!("unknown serve fault key `{other}`"))),
+                "seed" => plan.seed = entry.seed()?,
+                _ => return Err(entry.unknown_key()),
             }
         }
         Ok(plan)
     }
 
-    /// The rate-decision hash: pure in `(seed, kind salt, request idx)`.
+    /// Whether the rate `1/den` fires for request `idx` under decision
+    /// kind `salt` (a [`decision`] hash).
     fn hits(&self, den: u64, salt: u64, idx: u64) -> bool {
-        den != 0
-            && splitmix64(self.seed ^ splitmix64(salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ idx))
-                .is_multiple_of(den)
+        den != 0 && decision(self.seed, salt, idx).is_multiple_of(den)
     }
 
     /// Resolves the faults to inject into request `idx` (the server's
@@ -600,50 +520,122 @@ impl std::fmt::Display for ServeFaultPlan {
     /// Canonical spec rendering; same identity contract as
     /// [`FaultPlan`]'s `Display`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
-        if let Some(i) = self.panic_at {
-            entry(f, format!("panic-at-request={i}"))?;
-        }
-        if let Some(i) = self.drop_at {
-            entry(f, format!("drop-at-request={i}"))?;
-        }
-        if let Some(i) = self.truncate_at {
-            entry(f, format!("truncate-at-request={i}"))?;
-        }
-        if let Some((i, ms)) = self.delay_at {
-            entry(f, format!("delay-at-request={i}:{ms}"))?;
-        }
-        if self.panic_den != 0 {
-            entry(f, format!("panic=1/{}", self.panic_den))?;
-        }
-        if self.drop_den != 0 {
-            entry(f, format!("drop=1/{}", self.drop_den))?;
-        }
-        if self.truncate_den != 0 {
-            entry(f, format!("truncate=1/{}", self.truncate_den))?;
-        }
-        if self.delay_den != 0 {
-            entry(f, format!("delay=1/{}:{}", self.delay_den, self.delay_ms))?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        let ratio = |den: u64, kind: &str| (den != 0).then(|| format!("{kind}=1/{den}"));
+        render(
+            f,
+            [
+                self.panic_at.map(|i| format!("panic-at-request={i}")),
+                self.drop_at.map(|i| format!("drop-at-request={i}")),
+                self.truncate_at.map(|i| format!("truncate-at-request={i}")),
+                self.delay_at.map(|(i, ms)| format!("delay-at-request={i}:{ms}")),
+                ratio(self.panic_den, "panic"),
+                ratio(self.drop_den, "drop"),
+                ratio(self.truncate_den, "truncate"),
+                (self.delay_den != 0)
+                    .then(|| format!("delay=1/{}:{}", self.delay_den, self.delay_ms)),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
 }
 
-/// splitmix64: the standard 64-bit mix, used to derive seeded fault
-/// positions deterministically.
-fn splitmix64(seed: u64) -> u64 {
+/// One `key=value` entry of a plan spec, with what its error messages
+/// name: the plan's label and the entry's 1-based position and text.
+struct Entry<'a> {
+    label: &'static str,
+    pos: usize,
+    text: &'a str,
+    key: &'a str,
+    value: &'a str,
+}
+
+/// The entries of a comma-separated plan spec, blank ones skipped: the
+/// one tokenizer behind every plan's `from_spec`. `label` names the plan
+/// in error messages (`"{label} spec entry {pos} (`{text}`): …"`).
+fn entries<'a>(
+    spec: &'a str,
+    label: &'static str,
+) -> impl Iterator<Item = Result<Entry<'a>, String>> {
+    spec.split(',').map(str::trim).filter(|e| !e.is_empty()).enumerate().map(move |(i, text)| {
+        let mut entry = Entry { label, pos: i + 1, text, key: "", value: "" };
+        (entry.key, entry.value) =
+            text.split_once('=').ok_or_else(|| entry.error("needs key=value"))?;
+        Ok(entry)
+    })
+}
+
+impl<'a> Entry<'a> {
+    /// An error message pointing at this entry.
+    fn error(&self, msg: impl std::fmt::Display) -> String {
+        format!("{} spec entry {} (`{}`): {msg}", self.label, self.pos, self.text)
+    }
+
+    /// The error for a key the plan does not know.
+    fn unknown_key(&self) -> String {
+        self.error(format_args!("unknown {} key `{}`", self.label, self.key))
+    }
+
+    /// A number `N` (the whole value or one part of a [`Entry::pair`]).
+    fn num<T: std::str::FromStr>(&self, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| self.error(format_args!("`{v}` is not a number")))
+    }
+
+    /// The denominator `K ≥ 1` of a `1/K` ratio.
+    fn ratio<T: std::str::FromStr + PartialEq + From<u8>>(&self, v: &str) -> Result<T, String> {
+        let den: T = v
+            .strip_prefix("1/")
+            .and_then(|k| k.parse().ok())
+            .ok_or_else(|| self.error(format_args!("`{v}` is not a 1/K ratio")))?;
+        if den == T::from(0) {
+            return Err(self.error("ratio denominator must be at least 1"));
+        }
+        Ok(den)
+    }
+
+    /// The two halves of an `A:B` value (`N:ms`, `1/K:ms`, `1/K:iters`);
+    /// `shape` names the expected form in the error.
+    fn pair(&self, shape: &str) -> Result<(&'a str, &'a str), String> {
+        self.value.split_once(':').ok_or_else(|| self.error(format_args!("needs {shape}")))
+    }
+
+    /// The value as a `seed=S` seed.
+    fn seed(&self) -> Result<u64, String> {
+        self.value
+            .parse()
+            .map_err(|_| self.error(format_args!("`{}` is not a valid seed", self.value)))
+    }
+}
+
+/// Writes a plan's present entries comma-separated, in the order given:
+/// the one renderer behind every plan's canonical `Display`.
+fn render(
+    f: &mut std::fmt::Formatter<'_>,
+    entries: impl IntoIterator<Item = Option<String>>,
+) -> std::fmt::Result {
+    let mut sep = "";
+    for entry in entries.into_iter().flatten() {
+        write!(f, "{sep}{entry}")?;
+        sep = ",";
+    }
+    Ok(())
+}
+
+/// splitmix64: the standard 64-bit mix behind every seeded decision in
+/// the workspace — seeded fault placement, the perturbation and serve
+/// fault decision hashes, stress iteration seeds and client backoff
+/// jitter.
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The decision hash of the seeded plans: a pure function of the plan
+/// seed, a salt distinguishing the decision kind, and the structural
+/// position (an executor position or a request index).
+fn decision(seed: u64, salt: u64, pos: u64) -> u64 {
+    splitmix64(seed ^ splitmix64(salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ pos))
 }
 
 /// Renders a caught panic payload as a string (String and &str payloads
@@ -661,6 +653,14 @@ pub fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of the reference splitmix64 generator seeded
+        // with 0 (state advanced by the golden gamma before each mix).
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
 
     #[test]
     fn empty_plan_injects_nothing() {

@@ -79,16 +79,6 @@ pub const CANON_NODE_CAP: usize = 8;
 pub const SERVED_MODELS: [Model; 6] =
     [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
 
-/// splitmix64 — the same mix used by the fault plans; exposed here so
-/// the client's seeded backoff jitter shares one deterministic stream
-/// shape with the server's fault decisions.
-pub fn mix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
@@ -1177,7 +1167,7 @@ mod tests {
                     for i in 0..PER_THREAD {
                         // A seeded walk so threads interleave different
                         // keys (contention + disjoint shards both hit).
-                        let r = mix64(tid ^ (i as u64) << 8);
+                        let r = crate::fault::splitmix64(tid ^ (i as u64) << 8);
                         let t = &tests[(r % tests.len() as u64) as usize];
                         let m = SERVED_MODELS[(r >> 32) as usize % SERVED_MODELS.len()];
                         let phi = ObserverFunction::base(&t.computation);

@@ -289,8 +289,8 @@ pub(crate) fn maps_for(u: &Universe, cfg: &SweepConfig, alphabet: &[Op]) -> Vec<
     }
 }
 
-/// Pops the next task, absorbing `Retry`.
-fn pop(injector: &Injector<Task>) -> Option<Task> {
+/// Pops the next unit, absorbing `Retry`.
+pub(crate) fn pop<T>(injector: &Injector<T>) -> Option<T> {
     loop {
         match injector.steal() {
             Steal::Success(t) => return Some(t),
@@ -300,17 +300,19 @@ fn pop(injector: &Injector<Task>) -> Option<Task> {
     }
 }
 
-/// Runs `worker` on `cfg.threads` scoped threads over a shared task queue
-/// and collects the per-worker results. With one thread the worker runs
-/// on the caller's thread — no spawn, same code path.
-fn run_workers<R, W>(tasks: Vec<Task>, threads: usize, worker: W) -> Vec<R>
+/// Runs `worker` on `threads` scoped threads over a shared FIFO queue of
+/// `units` and collects the per-worker results. With one thread the
+/// worker runs on the caller's thread — no spawn, same code path — and
+/// takes the units in order.
+pub(crate) fn run_workers<T, R, W>(units: Vec<T>, threads: usize, worker: W) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    W: Fn(&Injector<Task>) -> R + Sync,
+    W: Fn(&Injector<T>) -> R + Sync,
 {
     let injector = Injector::new();
-    for t in tasks {
-        injector.push(t);
+    for u in units {
+        injector.push(u);
     }
     if threads == 1 {
         return vec![worker(&injector)];

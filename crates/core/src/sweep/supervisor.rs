@@ -38,6 +38,13 @@
 //! via [`FaultPlan`] ([`crate::fault`]); the injected kill
 //! ([`SweepStatus::Killed`]) leaves the journal exactly as a real
 //! `kill -9` would.
+//!
+//! The engine ([`run_supervised`]) is generic over its work [`Unit`], so
+//! `ccmm stress` runs it too, over iteration indices. Its pieces are
+//! public for the loops that are not queues of independent units
+//! (`ccmm watch`'s stream, the Δ* initial passes): [`retry_once`] (the
+//! retry-once-then-quarantine rule), [`Cadence`] (the checkpoint
+//! cadence) and [`SweepStatus::of`] (the status rule).
 
 use super::{
     for_each_labelling, maps_for, materialize, pop, run_workers, LabelScratch, SweepConfig, Task,
@@ -91,27 +98,72 @@ pub enum SweepStatus {
     /// Every task scanned, nothing quarantined: results are exactly the
     /// serial scan's.
     Complete,
-    /// Every task attempted but some quarantined after a failed retry:
-    /// counts exclude the quarantined tasks' contributions; witnesses
-    /// for all other tasks still match the serial scan.
+    /// Every task attempted but some quarantined after a failed retry, or
+    /// checkpoint journalling failed: counts exclude the quarantined
+    /// tasks' contributions; witnesses for all other tasks still match
+    /// the serial scan.
     Degraded,
-    /// The deadline stopped the sweep (or a checkpoint error did) before
-    /// every task was attempted: counts cover exactly the frontier.
+    /// The deadline stopped the sweep before every task was attempted:
+    /// counts cover exactly the frontier.
     Partial,
     /// The fault plan's simulated kill fired after a checkpoint record;
     /// the journal on disk is the source of truth for resume.
     Killed,
 }
 
-/// One task that panicked twice and was excluded from the results.
+impl SweepStatus {
+    /// The one status rule every supervised loop ends with: a kill wins;
+    /// then a run that left units unattempted is Partial; then a run
+    /// that quarantined a unit or failed to journal is Degraded — a
+    /// journalling failure degrades a run even when every unit scanned
+    /// cleanly, because the verdicts are exact but the promised
+    /// resumability is gone, and exit codes must say so.
+    pub fn of(killed: bool, unfinished: bool, degraded: bool) -> Self {
+        if killed {
+            SweepStatus::Killed
+        } else if unfinished {
+            SweepStatus::Partial
+        } else if degraded {
+            SweepStatus::Degraded
+        } else {
+            SweepStatus::Complete
+        }
+    }
+}
+
+/// One unit that panicked twice and was excluded from the results.
 #[derive(Clone, Debug)]
 pub struct Quarantined {
-    /// Global task (poset) index of the failed task.
+    /// Index of the failed unit: a sweep task's global poset index, a
+    /// stress iteration, a sampled watch prefix, a Δ* check.
     pub task_idx: usize,
-    /// Node count of the task's poset.
+    /// Size of the unit: the poset's (or computation's) node count.
     pub size: usize,
     /// The second panic's payload, rendered as a string.
     pub payload: String,
+}
+
+/// Runs `attempt` under `catch_unwind`, retries it once if it panics, and
+/// quarantines unit `idx` (of `size` nodes) if it panics again: the one
+/// retry-once-then-quarantine rule of every supervised loop. A panic may
+/// leave the caller's working memory `x` in an arbitrary state, so each
+/// one rebuilds it with `fresh`.
+pub fn retry_once<X, T>(
+    idx: usize,
+    size: usize,
+    x: &mut X,
+    fresh: impl Fn() -> X,
+    attempt: impl Fn(&mut X) -> T,
+) -> Result<T, Quarantined> {
+    if let Ok(t) = catch_unwind(AssertUnwindSafe(|| attempt(x))) {
+        return Ok(t);
+    }
+    *x = fresh();
+    catch_unwind(AssertUnwindSafe(|| attempt(x))).map_err(|payload| {
+        *x = fresh();
+        telemetry::count(Counter::Quarantines, 1);
+        Quarantined { task_idx: idx, size, payload: payload_string(payload) }
+    })
 }
 
 /// The set of completed task indices, kept as sorted disjoint half-open
@@ -301,6 +353,9 @@ impl<T> Merge for Vec<T> {
     }
 }
 
+/// Serializes a merged state and its frontier into one journal record.
+pub type Encode<'a, S> = &'a (dyn Fn(&S, &Frontier) -> Vec<u8> + Sync);
+
 /// Where and how often a counting sweep journals `(frontier, state)`
 /// snapshots.
 pub struct CkptSink<'a, S> {
@@ -310,28 +365,124 @@ pub struct CkptSink<'a, S> {
     /// Append a snapshot every this many completed tasks (≥ 1).
     pub every: usize,
     /// Serializes the merged state + frontier into one record payload.
-    pub encode: &'a (dyn Fn(&S, &Frontier) -> Vec<u8> + Sync),
+    pub encode: Encode<'a, S>,
 }
 
-/// Shared mutable sweep progress, behind one mutex (tasks are coarse —
-/// one poset covers all its labellings — so commit contention is noise).
+/// The one checkpoint cadence of every supervised loop. It counts
+/// completed units and appends a snapshot every `every` of them (every
+/// one when `every` ≤ 1). Each append goes through the fault plan's
+/// injected I/O error and kill hooks and counts
+/// [`Counter::CkptRecords`]. The first failed append is latched:
+/// journalling stops, the run goes on, and [`SweepStatus::of`] makes it
+/// Degraded.
+pub struct Cadence<'a> {
+    writer: &'a mut CkptWriter,
+    every: usize,
+    fault: &'a FaultPlan,
+    since: usize,
+    error: Option<String>,
+}
+
+impl<'a> Cadence<'a> {
+    /// A cadence appending to `writer` every `every` units under `fault`.
+    pub fn new(writer: &'a mut CkptWriter, every: usize, fault: &'a FaultPlan) -> Self {
+        Cadence { writer, every, fault, since: 0, error: None }
+    }
+
+    /// Counts one completed unit and appends `snapshot()` if that ends a
+    /// period. Returns whether the fault plan's kill fires now.
+    pub fn tick(&mut self, snapshot: impl FnOnce() -> Vec<u8>) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        self.since += 1;
+        if self.since < self.every {
+            return false;
+        }
+        self.since = 0;
+        self.append(&snapshot())
+    }
+
+    /// Appends `payload` now, off the period (a final snapshot). Returns
+    /// whether the fault plan's kill fires now.
+    pub fn append(&mut self, payload: &[u8]) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        // The fault plan can fail this record's write (the "disk full
+        // mid-run" shape) without going anywhere near the real file.
+        let record = self.writer.snapshots() + 1;
+        let wrote = if self.fault.io_error_at(record) {
+            Err(std::io::Error::other(format!("injected fault: io error at ckpt record {record}")))
+        } else {
+            self.writer.append(payload)
+        };
+        match wrote {
+            Ok(()) => {
+                telemetry::count(Counter::CkptRecords, 1);
+                self.fault.should_kill(self.writer.snapshots())
+            }
+            Err(e) => {
+                self.error = Some(e.to_string());
+                false
+            }
+        }
+    }
+
+    /// The first failed append, if journalling stopped.
+    pub fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+}
+
+/// A unit of supervised work: all the engine needs to know of it.
+pub trait Unit: Send {
+    /// The unit's index: its frontier key and fault-plan position.
+    fn idx(&self) -> usize;
+    /// Its size, reported if it is quarantined.
+    fn size(&self) -> usize;
+}
+
+impl Unit for Task {
+    fn idx(&self) -> usize {
+        self.idx
+    }
+
+    fn size(&self) -> usize {
+        self.size
+    }
+}
+
+/// A bare index is a unit of size 0 (a `ccmm stress` iteration).
+impl Unit for usize {
+    fn idx(&self) -> usize {
+        *self
+    }
+
+    fn size(&self) -> usize {
+        0
+    }
+}
+
+/// Shared mutable progress, behind one mutex (units are coarse — one
+/// poset covers all its labellings — so commit contention is noise).
 struct Shared<'a, S> {
     state: S,
     frontier: Frontier,
     quarantined: Vec<Quarantined>,
-    since_ckpt: usize,
-    ckpt: Option<CkptSink<'a, S>>,
-    ckpt_error: Option<String>,
+    journal: Option<(Cadence<'a>, Encode<'a, S>)>,
 }
 
-/// The supervised engine: distributes `tasks` over `threads` workers,
-/// each task scanned into a fresh delta under `catch_unwind` (retried
-/// once on panic, quarantined on a second), deltas committed through
-/// `merge` under the shared lock, with cooperative deadline stop and
-/// optional checkpoint journalling.
-#[allow(clippy::too_many_arguments)] // internal engine; wrappers present the public face
-pub(crate) fn run_supervised<S, X, XF, SC, MG>(
-    mut tasks: Vec<Task>,
+/// The supervised engine: distributes `units` over `threads` workers,
+/// each unit scanned into a fresh delta under [`retry_once`], deltas
+/// committed through `merge` under the shared lock, with cooperative
+/// deadline stop and optional checkpoint journalling on the one
+/// [`Cadence`]. `merge` returning [`ControlFlow::Break`] means the caller
+/// has what it wants: the remaining units are drained unscanned, nothing
+/// more is journalled, and the run still ends Complete or Degraded.
+#[allow(clippy::too_many_arguments)] // the engine; wrappers present friendlier faces
+pub fn run_supervised<U, S, X, XF, SC, MG>(
+    mut units: Vec<U>,
     threads: usize,
     deadline: Option<Duration>,
     fault: &FaultPlan,
@@ -343,43 +494,42 @@ pub(crate) fn run_supervised<S, X, XF, SC, MG>(
     merge: MG,
 ) -> Supervised<S>
 where
+    U: Unit,
     S: Send,
     XF: Fn() -> X + Sync,
-    SC: Fn(&Task, &mut X) -> S + Sync,
-    MG: Fn(&mut S, S, usize) + Sync,
+    SC: Fn(&U, &mut X) -> S + Sync,
+    MG: Fn(&mut S, S, usize) -> ControlFlow<()> + Sync,
 {
-    let ids: Vec<usize> = tasks.iter().map(|t| t.idx).collect();
+    let ids: Vec<usize> = units.iter().map(Unit::idx).collect();
     fault.resolve_indices(&ids);
-    let total_tasks = tasks.len();
+    let total_tasks = units.len();
     if !resume.is_empty() {
-        tasks.retain(|t| !resume.contains(t.idx));
+        units.retain(|u| !resume.contains(u.idx()));
     }
     let start = Instant::now();
     // Ordering audit: all three flags are accessed with Relaxed
     // throughout, which is sufficient because they are *advisory*,
     // monotonic (false→true once) booleans: they only influence how
-    // soon workers stop scanning, never what a scanned task computes.
+    // soon workers stop scanning, never what a scanned unit computes.
     // All result data travels through the `shared` Mutex (lock/unlock
     // provides acquire/release), and the final `into_inner` reads
     // happen after `run_workers` joins every worker thread — thread
     // join is a synchronizes-with edge, so the last stores to the
     // flags are visible without any fence. A worker seeing a stale
-    // `false` merely scans one extra task; seeing a stale `true` is
+    // `false` merely scans one extra unit; seeing a stale `true` is
     // impossible to distinguish from a slightly earlier stop.
     let stop = AtomicBool::new(false);
-    let deadline_hit = AtomicBool::new(false);
+    let broke = AtomicBool::new(false);
     let killed = AtomicBool::new(false);
     let shared = Mutex::new(Shared {
         state: initial,
         frontier: resume,
         quarantined: Vec::new(),
-        since_ckpt: 0,
-        ckpt,
-        ckpt_error: None,
+        journal: ckpt.map(|s| (Cadence::new(s.writer, s.every, fault), s.encode)),
     });
-    run_workers(tasks, threads, |inj| {
+    run_workers(units, threads, |inj| {
         let mut x = scratch();
-        while let Some(task) = pop(inj) {
+        while let Some(unit) = pop(inj) {
             if stop.load(Ordering::Relaxed) {
                 continue; // drain the queue without scanning
             }
@@ -387,96 +537,53 @@ where
                 telemetry::count(Counter::DeadlinePolls, 1);
             }
             if deadline.is_some_and(|d| start.elapsed() >= d) {
-                deadline_hit.store(true, Ordering::Relaxed);
                 stop.store(true, Ordering::Relaxed);
                 continue;
             }
-            // A panic may leave the worker scratch in an arbitrary state:
-            // rebuild it, retry once, and quarantine the task on a second
-            // panic.
-            let mut delta = None;
-            for attempt in 0..2 {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    fault.before_task(task.idx);
-                    scan(&task, &mut x)
-                })) {
-                    Ok(d) => {
-                        delta = Some(d);
-                        break;
-                    }
-                    Err(payload) => {
-                        x = scratch();
-                        if attempt == 1 {
-                            let payload = payload_string(payload);
-                            let q = Quarantined { task_idx: task.idx, size: task.size, payload };
-                            telemetry::count(Counter::Quarantines, 1);
-                            shared.lock().unwrap().quarantined.push(q);
-                        }
-                    }
+            let attempt = |x: &mut X| {
+                fault.before_task(unit.idx());
+                scan(&unit, x)
+            };
+            let delta = match retry_once(unit.idx(), unit.size(), &mut x, &scratch, attempt) {
+                Ok(delta) => delta,
+                Err(q) => {
+                    shared.lock().unwrap().quarantined.push(q);
+                    continue;
                 }
-            }
-            let Some(delta) = delta else { continue };
+            };
             let mut guard = shared.lock().unwrap();
             let g = &mut *guard;
-            merge(&mut g.state, delta, task.idx);
-            g.frontier.insert(task.idx);
+            let flow = merge(&mut g.state, delta, unit.idx());
+            g.frontier.insert(unit.idx());
             telemetry::progress_tick(g.frontier.len(), total_tasks, g.quarantined.len());
-            let Some(sink) = g.ckpt.as_mut() else { continue };
-            if g.ckpt_error.is_some() {
+            if flow.is_break() {
+                broke.store(true, Ordering::Relaxed);
+                stop.store(true, Ordering::Relaxed);
                 continue;
             }
-            g.since_ckpt += 1;
-            if g.since_ckpt < sink.every {
-                continue;
-            }
-            g.since_ckpt = 0;
-            let payload = (sink.encode)(&g.state, &g.frontier);
-            // The fault plan can fail this record's write (the "disk full
-            // mid-run" shape) without going anywhere near the real file.
-            let record = sink.writer.snapshots() + 1;
-            let wrote = if fault.io_error_at(record) {
-                Err(std::io::Error::other(format!(
-                    "injected fault: io error at ckpt record {record}"
-                )))
-            } else {
-                sink.writer.append(&payload)
-            };
-            match wrote {
-                Ok(()) => {
-                    telemetry::count(Counter::CkptRecords, 1);
-                    if fault.should_kill(sink.writer.snapshots()) {
-                        killed.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                // Journalling failed: keep sweeping, stop checkpointing,
-                // and surface the error.
-                Err(e) => g.ckpt_error = Some(e.to_string()),
+            let Some((cadence, encode)) = g.journal.as_mut() else { continue };
+            if cadence.tick(|| encode(&g.state, &g.frontier)) {
+                killed.store(true, Ordering::Relaxed);
+                stop.store(true, Ordering::Relaxed);
             }
         }
     });
     let mut sh = shared.into_inner().unwrap();
     sh.quarantined.sort_by_key(|q| q.task_idx);
+    let ckpt_error = sh.journal.and_then(|(cadence, _)| cadence.error);
     let scanned = sh.frontier.len() + sh.quarantined.len();
-    let status = if killed.into_inner() {
-        SweepStatus::Killed
-    } else if scanned < total_tasks {
-        SweepStatus::Partial
-    } else if !sh.quarantined.is_empty() || sh.ckpt_error.is_some() {
-        // A journalling failure degrades the run even when every task
-        // scanned cleanly: the verdicts are exact, but the promised
-        // resumability is gone, and exit codes must say so.
-        SweepStatus::Degraded
-    } else {
-        SweepStatus::Complete
-    };
+    let status = SweepStatus::of(
+        killed.into_inner(),
+        scanned < total_tasks && !broke.into_inner(),
+        !sh.quarantined.is_empty() || ckpt_error.is_some(),
+    );
     Supervised {
         value: sh.state,
         status,
         quarantined: sh.quarantined,
         frontier: sh.frontier,
         total_tasks,
-        ckpt_error: sh.ckpt_error,
+        ckpt_error,
     }
 }
 
@@ -534,7 +641,10 @@ where
             });
             delta
         },
-        |g, d, _| g.merge(d),
+        |g, d, _| {
+            g.merge(d);
+            ControlFlow::Continue(())
+        },
     )
 }
 
@@ -988,7 +1098,7 @@ where
         None::<Keyed<W>>,
         None,
         || (LabelScratch::new(), scratch()),
-        |task, (ls, x)| {
+        |task: &Task, (ls, x)| {
             if superseded(task) {
                 return None; // an earlier task already has a witness
             }
@@ -1011,6 +1121,7 @@ where
                 best.fetch_min(idx, Ordering::Relaxed);
             }
             merge_keyed(g, d);
+            ControlFlow::Continue(())
         },
     );
     out.map(|k| k.map(|k| k.witness))
@@ -1219,6 +1330,52 @@ mod tests {
         }
         let mut r: &[u8] = &bad;
         assert!(Frontier::decode_from(&mut r).is_none());
+    }
+
+    /// Sums unit indices `0..10` on one worker, breaking after `stop`.
+    fn sum_until(stop: usize, fault: &FaultPlan) -> Supervised<usize> {
+        let units: Vec<usize> = (0..10).collect();
+        let merge = |sum: &mut usize, d: usize, idx: usize| {
+            *sum += d;
+            if idx == stop {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        run_supervised(units, 1, None, fault, Frontier::new(), 0, None, || (), |&i, _| i, merge)
+    }
+
+    #[test]
+    fn break_drains_the_rest_and_keeps_the_status() {
+        let out = sum_until(3, &FaultPlan::none());
+        assert_eq!(out.status, SweepStatus::Complete, "a break is not a partial run");
+        assert_eq!(out.value, 1 + 2 + 3);
+        assert_eq!(out.frontier.ranges(), &[(0, 4)]);
+        let out = sum_until(3, &FaultPlan::none().panic_at_task(1));
+        assert_eq!(out.status, SweepStatus::Degraded);
+        assert_eq!(out.value, 2 + 3);
+        assert_eq!(out.quarantined[0].size, 0, "a bare index is a unit of size 0");
+    }
+
+    #[test]
+    fn cadence_appends_every_n_latches_a_failure_and_reports_the_kill() {
+        let path = temp("cadence");
+        let mut writer = CkptWriter::create(&path, "test fp").unwrap();
+        let fault = FaultPlan::none().io_error_at_record(2);
+        let mut cadence = Cadence::new(&mut writer, 2, &fault);
+        for _ in 0..8 {
+            assert!(!cadence.tick(|| vec![7]), "no kill in this plan");
+        }
+        assert!(cadence.error().is_some_and(|e| e.contains("io error at ckpt record 2")));
+        assert!(!cadence.append(&[8]), "a latched cadence appends nothing");
+        assert_eq!(writer.snapshots(), 1, "record 1 landed, record 2 failed, then none");
+        // Kills count the writer's records: this writer already holds one.
+        let fault = FaultPlan::none().kill_after_records(3);
+        let mut cadence = Cadence::new(&mut writer, 1, &fault);
+        assert!(!cadence.tick(|| vec![9]));
+        assert!(cadence.append(&[10]), "the kill fires after the third record");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -265,6 +265,120 @@ fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::
     }
 }
 
+/// The exit code of a supervised run's final status.
+fn exit_code(s: ccmm::core::sweep::supervisor::SweepStatus) -> u8 {
+    use ccmm::core::sweep::supervisor::SweepStatus;
+    match s {
+        SweepStatus::Complete => exit::COMPLETE,
+        SweepStatus::Degraded => exit::DEGRADED,
+        SweepStatus::Partial => exit::PARTIAL,
+        SweepStatus::Killed => exit::KILLED,
+    }
+}
+
+/// Reports a supervised run that stopped short — killed by its fault
+/// plan, or out of deadline — with its resume hint, and returns its exit
+/// code; `None` for a run that went to the end. `units` ends the deadline
+/// line ("task(s) complete"), `phase` names a phase with a journal of its
+/// own, and the hint names `journal`'s path and the records `writer`
+/// appended to it.
+fn report_stop(
+    status: ccmm::core::sweep::supervisor::SweepStatus,
+    frontier: &ccmm::core::sweep::supervisor::Frontier,
+    total: usize,
+    units: &str,
+    phase: Option<&str>,
+    journal: &Option<(String, bool)>,
+    writer: &Option<ccmm::core::ckpt::CkptWriter>,
+) -> Option<u8> {
+    use ccmm::core::sweep::supervisor::SweepStatus;
+    let path = journal.as_ref().map(|(path, _)| path.as_str());
+    match status {
+        SweepStatus::Killed => {
+            let records = writer.as_ref().map_or(0, |w| w.snapshots());
+            let kind = phase.map(|p| format!("{p} ")).unwrap_or_default();
+            println!(
+                "killed by fault plan after {records} {kind}checkpoint record(s); resume with \
+                 --resume {}",
+                path.unwrap_or("<journal>")
+            );
+        }
+        SweepStatus::Partial => {
+            let during = phase.map(|p| format!(" during {p}")).unwrap_or_default();
+            println!(
+                "deadline hit{during}: {}/{total} {units}; resume frontier: {:?}",
+                frontier.len(),
+                frontier.ranges()
+            );
+            if let Some(path) = path {
+                println!("resume with --resume {path}");
+            }
+        }
+        SweepStatus::Complete | SweepStatus::Degraded => return None,
+    }
+    Some(exit_code(status))
+}
+
+/// The `--ckpt PATH` / `--resume PATH` pair: the journal a run writes,
+/// and whether it continues that journal rather than starting it.
+fn journal_flags(
+    ckpt: Option<String>,
+    resume: Option<String>,
+) -> Result<Option<(String, bool)>, String> {
+    match (ckpt, resume) {
+        (Some(_), Some(_)) => {
+            Err("--ckpt starts a fresh journal and --resume continues one; pass only one".into())
+        }
+        (Some(path), None) => Ok(Some((path, false))),
+        (None, Some(path)) => Ok(Some((path, true))),
+        (None, None) => Ok(None),
+    }
+}
+
+/// Opens a run's checkpoint journal, if it has one (`journal` is the
+/// path and whether to resume it). A fresh journal is created under
+/// `fingerprint`; a resumed one is loaded, refused on a fingerprint
+/// mismatch, decoded, and reopened for appending. `decode` returns `None`
+/// for a corrupt journal and `Some(None)` when no snapshot survived;
+/// `label` names the journal in errors.
+fn open_journal<T>(
+    label: &str,
+    journal: &Option<(String, bool)>,
+    fingerprint: &str,
+    decode: impl FnOnce(&ccmm::core::ckpt::Checkpoint) -> Option<Option<T>>,
+) -> Result<(Option<ccmm::core::ckpt::CkptWriter>, Option<T>), String> {
+    use ccmm::core::ckpt::{Checkpoint, CkptWriter};
+    let Some((path, resuming)) = journal else { return Ok((None, None)) };
+    let file = std::path::Path::new(path);
+    if !resuming {
+        let writer = CkptWriter::create(file, fingerprint)
+            .map_err(|e| format!("creating {label} {path}: {e}"))?;
+        return Ok((Some(writer), None));
+    }
+    let loaded = Checkpoint::load(file).map_err(|e| format!("loading {label} {path}: {e}"))?;
+    if loaded.fingerprint != fingerprint {
+        return Err(format!(
+            "{label} fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
+            loaded.fingerprint
+        ));
+    }
+    let state = decode(&loaded).ok_or_else(|| format!("corrupt {label} snapshot in {path}"))?;
+    let writer =
+        CkptWriter::append_to(file).map_err(|e| format!("reopening {label} {path}: {e}"))?;
+    Ok((Some(writer), state))
+}
+
+/// The `decode` of [`open_journal`] for a journal that resumes from its
+/// latest snapshot.
+fn latest<T>(
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> impl FnOnce(&ccmm::core::ckpt::Checkpoint) -> Option<Option<T>> {
+    move |loaded| match loaded.latest() {
+        Some(snapshot) => decode(snapshot).map(Some),
+        None => Some(None), // the journal died before its first snapshot
+    }
+}
+
 /// Glue between the `--trace`/`--metrics`/`--progress` flags and
 /// `ccmm_core::telemetry`: flips the runtime switches, collects one
 /// counter snapshot per phase, and writes the output files.
@@ -451,15 +565,8 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // constructibility phases within budget through bound 6; beyond that
     // only the lane-parallel memberships phase is.
     let memberships_only = bound > 6;
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
-    }
-    let fault = match &fault_spec {
-        Some(spec) => FaultPlan::from_spec(spec)?,
-        None => FaultPlan::none(),
-    };
+    let journal = journal_flags(ckpt_path, resume_path)?;
+    let fault = FaultPlan::from_spec(fault_spec.as_deref().unwrap_or(""))?;
     let sup = Supervisor::with_fault(fault);
     let mut cfg = match threads {
         Some(t) => SweepConfig::with_threads(t),
@@ -493,38 +600,16 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // snapshots carry the lattice's separation mask beside the counts.
     let fingerprint =
         format!("ccmm-sweep-v2 bound={bound} locs={locs} canonical={canonical} engine={engine}");
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
+    let decode = latest(decode_counts_snapshot);
+    let (mut writer, resume_state) = open_journal("checkpoint", &journal, &fingerprint, decode)?;
+    if let (Some((path, _)), Some((f, _))) = (&journal, &resume_state) {
+        println!("resuming from {path}: {} task(s) already complete", f.len());
     }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                decode_counts_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None, // journal died before the first snapshot
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some((f, _)) = &resume_state {
-            println!("resuming from {path}: {} task(s) already complete", f.len());
-        }
-    }
+    let record = |records: &[SweepRecord]| -> Result<(), String> {
+        emit(bench_json, records).map_err(|e| format!("writing bench json: {e}"))?;
+        println!("recorded {} sweep record(s) to {bench_json}", records.len());
+        Ok(())
+    };
 
     let mut tel = TelemetrySink::new("sweep", trace_path, metrics_path, progress);
     println!(
@@ -543,11 +628,11 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // number the perf gate watches. This is the checkpointable phase.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/memberships");
-    let journal = writer.as_mut().map(|w| (w, ckpt_every));
+    let sink = writer.as_mut().map(|w| (w, ckpt_every));
     let out = if lane {
-        memberships(Lane64, &models, &u, &cfg, &sup, resume_state, journal)
+        memberships(Lane64, &models, &u, &cfg, &sup, resume_state, sink)
     } else {
-        memberships(Scalar, &models, &u, &cfg, &sup, resume_state, journal)
+        memberships(Scalar, &models, &u, &cfg, &sup, resume_state, sink)
     };
     drop(phase_span);
     let wall = t0.elapsed();
@@ -556,65 +641,69 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
         eprintln!("warning: checkpoint journalling failed mid-sweep: {e}");
     }
     report_quarantine("memberships", &out.quarantined);
-    if out.status == SweepStatus::Killed {
-        let journal = ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or("<journal>");
-        println!(
-            "killed by fault plan after {} checkpoint record(s); resume with --resume {journal}",
-            writer.as_ref().map_or(0, |w| w.snapshots())
-        );
-        tel.write()?;
-        return Ok(exit::KILLED);
-    }
     worst = worst.max(out.status);
-    println!(
-        "memberships over {} (computation, observer) pairs [{:.2?}] ({}):",
-        out.value.pairs,
-        wall,
-        status_name(out.status)
-    );
-    for (m, n) in models.iter().zip(&out.value.per_model) {
-        println!("  {:<4} {n}", m.name());
-    }
-    let membership = SweepRecord::new(
-        "cli_sweep/memberships",
-        engine,
-        &u,
-        cfg.threads,
-        wall,
-        out.value.pairs,
-        0,
-    )
-    .with_status(status_name(out.status))
-    .with_counters(tel.last_counters());
-    let throughput = membership.pairs_per_sec;
-    records.push(membership);
-    if out.status == SweepStatus::Partial {
-        // Deadline hit: report the exact resume frontier and stop — the
-        // later phases would blow the budget the caller just set.
+    let mut throughput = 0.0;
+    if out.status != SweepStatus::Killed {
         println!(
-            "deadline hit: {}/{} task(s) complete; resume frontier: {:?}",
-            out.frontier.len(),
-            out.total_tasks,
-            out.frontier.ranges()
+            "memberships over {} (computation, observer) pairs [{:.2?}] ({}):",
+            out.value.pairs,
+            wall,
+            status_name(out.status)
         );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
+        for (m, n) in models.iter().zip(&out.value.per_model) {
+            println!("  {:<4} {n}", m.name());
         }
-        emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {bench_json}", records.len());
+        let membership = SweepRecord::new(
+            "cli_sweep/memberships",
+            engine,
+            &u,
+            cfg.threads,
+            wall,
+            out.value.pairs,
+            0,
+        )
+        .with_status(status_name(out.status))
+        .with_counters(tel.last_counters());
+        throughput = membership.pairs_per_sec;
+        records.push(membership);
+    }
+    // Killed, or out of deadline: report the exact resume frontier and
+    // stop — the later phases would blow the budget the caller just set.
+    let stop = report_stop(
+        out.status,
+        &out.frontier,
+        out.total_tasks,
+        "task(s) complete",
+        None,
+        &journal,
+        &writer,
+    );
+    if let Some(code) = stop {
+        if code == exit::PARTIAL {
+            record(&records)?;
+        }
         tel.write()?;
-        return Ok(exit::PARTIAL);
+        return Ok(code);
     }
 
-    if memberships_only {
-        println!(
-            "bound {bound} runs the memberships phase only; the lattice, fixpoint, and \
-             constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
-        );
-        tel.write()?;
-        emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {bench_json}", records.len());
+    // The end of every sweep: record the run, gate it (complete runs
+    // only) against the memberships baseline and against each phase's
+    // own same-engine, same-thread-count baseline when one exists (only
+    // the memberships baseline is a gate precondition, so new phases
+    // phase in without invalidating older baselines), and print its
+    // status. Phase baselines are read before this run's records are
+    // emitted — emitting first would make every gated run its own
+    // baseline.
+    let finish = |records: &[SweepRecord], worst: SweepStatus, phases: &[(&'static str, &str)]| {
+        let phase_baselines: Vec<_> = phases
+            .iter()
+            .map(|&(experiment, phase_engine)| {
+                (experiment, latest_matching(bench_json, experiment, phase_engine, &u, cfg.threads))
+            })
+            .collect();
+        record(records)?;
         if gate && worst == SweepStatus::Complete {
+            // `baseline` was verified Some before the sweep started.
             let b = baseline.as_ref().expect("gate precondition checked above");
             println!(
                 "gate: {throughput:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
@@ -629,6 +718,26 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
                 );
                 return Ok(exit::FAIL);
             }
+            for (experiment, b) in phase_baselines {
+                let Some(rec) = records.iter().find(|r| r.experiment == experiment) else {
+                    continue;
+                };
+                let Some(b) = b else { continue };
+                println!(
+                    "gate[{experiment}]: {:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
+                    rec.pairs_per_sec,
+                    b.pairs_per_sec,
+                    b.pairs_per_sec / 2.0
+                );
+                if rec.pairs_per_sec < b.pairs_per_sec / 2.0 {
+                    eprintln!(
+                        "perf gate FAILED: {experiment} at {:.0} pairs/sec is more than 2x \
+                         below the committed baseline {:.0}",
+                        rec.pairs_per_sec, b.pairs_per_sec
+                    );
+                    return Ok(exit::FAIL);
+                }
+            }
         } else if gate {
             println!(
                 "gate: skipped — run was {} (only complete runs are gated)",
@@ -636,12 +745,16 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
             );
         }
         println!("sweep status: {}", status_name(worst));
-        return Ok(match worst {
-            SweepStatus::Complete => exit::COMPLETE,
-            SweepStatus::Degraded => exit::DEGRADED,
-            SweepStatus::Partial => exit::PARTIAL,
-            SweepStatus::Killed => exit::KILLED,
-        });
+        Ok(exit_code(worst))
+    };
+
+    if memberships_only {
+        println!(
+            "bound {bound} runs the memberships phase only; the lattice, fixpoint, and \
+             constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
+        );
+        tel.write()?;
+        return finish(&records, worst, &[]);
     }
 
     // Phase 2: the full pairwise relation lattice (Figure 1 at this
@@ -651,8 +764,7 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/lattice");
     let lattice = out.value.lattice(&models);
-    let lattice_status =
-        if out.quarantined.is_empty() { SweepStatus::Complete } else { SweepStatus::Degraded };
+    let lattice_status = SweepStatus::of(false, false, !out.quarantined.is_empty());
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("lattice", wall);
@@ -687,39 +799,16 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     let fix_engine = if lane { "lane64" } else { "worklist" };
     let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
         let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
-        let journal_base = ckpt_path.as_deref().or(resume_path.as_deref());
-        let mut fix_writer: Option<ckpt::CkptWriter> = None;
-        let mut fix_resume = None;
-        let fix_journal = journal_base.map(|base| format!("{base}.fixpoint"));
-        if let Some(p) = &fix_journal {
-            let path = std::path::Path::new(p);
-            if resume_path.is_some() && path.exists() {
-                let loaded = ckpt::Checkpoint::load(path)
-                    .map_err(|e| format!("loading fixpoint checkpoint {p}: {e}"))?;
-                if loaded.fingerprint != fix_fingerprint {
-                    return Err(format!(
-                        "fixpoint checkpoint fingerprint mismatch: journal is `{}`, this run \
-                         is `{fix_fingerprint}`",
-                        loaded.fingerprint
-                    ));
-                }
-                fix_resume = Some(
-                    decode_masks_journal(&loaded)
-                        .ok_or_else(|| format!("corrupt fixpoint checkpoint in {p}"))?,
-                );
-                fix_writer = Some(
-                    ckpt::CkptWriter::append_to(path)
-                        .map_err(|e| format!("reopening fixpoint checkpoint {p}: {e}"))?,
-                );
-                if let Some((f, _)) = &fix_resume {
-                    println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());
-                }
-            } else {
-                fix_writer = Some(
-                    ckpt::CkptWriter::create(path, &fix_fingerprint)
-                        .map_err(|e| format!("creating fixpoint checkpoint {p}: {e}"))?,
-                );
-            }
+        let fix_journal = journal.as_ref().map(|(base, resuming)| {
+            let path = format!("{base}.fixpoint");
+            let resuming = *resuming && std::path::Path::new(&path).exists();
+            (path, resuming)
+        });
+        let decode = |loaded: &ckpt::Checkpoint| decode_masks_journal(loaded).map(Some);
+        let (mut fix_writer, fix_resume) =
+            open_journal("fixpoint checkpoint", &fix_journal, &fix_fingerprint, decode)?;
+        if let (Some((path, _)), Some((f, _))) = (&fix_journal, &fix_resume) {
+            println!("resuming fixpoint from {path}: {} task(s) already complete", f.len());
         }
         let out = LaneConstructible::compute_supervised(
             &Nn::default(),
@@ -737,31 +826,21 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
             eprintln!("warning: fixpoint checkpoint journalling failed mid-sweep: {e}");
         }
         report_quarantine("fixpoint", &out.quarantined);
-        if out.status == SweepStatus::Killed {
-            let journal = fix_journal.as_deref().unwrap_or("<journal>");
-            println!(
-                "killed by fault plan after {} fixpoint checkpoint record(s); resume with \
-                 --resume {}",
-                fix_writer.as_ref().map_or(0, |w| w.snapshots()),
-                ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or(journal)
-            );
-            tel.write()?;
-            return Ok(exit::KILLED);
-        }
-        if out.status == SweepStatus::Partial {
-            println!(
-                "deadline hit during fixpoint: {}/{} task(s) complete; resume frontier: {:?}",
-                out.frontier.len(),
-                out.total_tasks,
-                out.frontier.ranges()
-            );
-            if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-                println!("resume with --resume {path}");
+        let stop = report_stop(
+            out.status,
+            &out.frontier,
+            out.total_tasks,
+            "task(s) complete",
+            Some("fixpoint"),
+            &journal,
+            &fix_writer,
+        );
+        if let Some(code) = stop {
+            if code == exit::PARTIAL {
+                record(&records)?;
             }
-            emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-            println!("recorded {} sweep record(s) to {bench_json}", records.len());
             tel.write()?;
-            return Ok(exit::PARTIAL);
+            return Ok(code);
         }
         (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
     } else {
@@ -771,8 +850,7 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
         let wall = t0.elapsed();
         tel.end_phase("fixpoint", wall);
         report_quarantine("fixpoint", &fix.quarantined);
-        let fix_status =
-            if fix.quarantined.is_empty() { SweepStatus::Complete } else { SweepStatus::Degraded };
+        let fix_status = SweepStatus::of(false, false, !fix.quarantined.is_empty());
         (fix.total_pairs(), fix.deleted, fix.passes, fix_status)
     };
     let wall = t0.elapsed();
@@ -834,69 +912,9 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
             .with_status(status_name(cons_status)),
     );
     tel.write()?;
-
-    // Phase baselines are read before this run's records are emitted —
-    // emitting first would make every gated run its own baseline.
-    let phase_baselines: Vec<_> =
-        [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
-            .into_iter()
-            .map(|(experiment, phase_engine)| {
-                let b = latest_matching(bench_json, experiment, phase_engine, &u, cfg.threads);
-                (experiment, b)
-            })
-            .collect();
-    emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("recorded {} sweep record(s) to {bench_json}", records.len());
-    if gate && worst == SweepStatus::Complete {
-        // `baseline` was verified Some before the sweep started.
-        let b = baseline.expect("gate precondition checked above");
-        println!(
-            "gate: {throughput:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-            b.pairs_per_sec,
-            b.pairs_per_sec / 2.0
-        );
-        if throughput < b.pairs_per_sec / 2.0 {
-            eprintln!(
-                "perf gate FAILED: {throughput:.0} pairs/sec is more than 2x below \
-                 the committed baseline {:.0}",
-                b.pairs_per_sec
-            );
-            return Ok(exit::FAIL);
-        }
-        // The fixpoint and constructibility phases gate against their
-        // own same-engine, same-thread-count baselines when one exists
-        // (only the memberships baseline is a gate precondition, so the
-        // new phases phase in without invalidating older baselines).
-        for (experiment, b) in phase_baselines {
-            let Some(rec) = records.iter().find(|r| r.experiment == experiment) else {
-                continue;
-            };
-            let Some(b) = b else { continue };
-            println!(
-                "gate[{experiment}]: {:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-                rec.pairs_per_sec,
-                b.pairs_per_sec,
-                b.pairs_per_sec / 2.0
-            );
-            if rec.pairs_per_sec < b.pairs_per_sec / 2.0 {
-                eprintln!(
-                    "perf gate FAILED: {experiment} at {:.0} pairs/sec is more than 2x below \
-                     the committed baseline {:.0}",
-                    rec.pairs_per_sec, b.pairs_per_sec
-                );
-                return Ok(exit::FAIL);
-            }
-        }
-    } else if gate {
-        println!("gate: skipped — run was {} (only complete runs are gated)", status_name(worst));
-    }
-    println!("sweep status: {}", status_name(worst));
-    Ok(match worst {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    let phases =
+        [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)];
+    finish(&records, worst, &phases)
 }
 
 fn cmd_conformance(args: &[String]) -> Result<bool, String> {
@@ -1029,11 +1047,9 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_stress(args: &[String]) -> Result<u8, String> {
-    use ccmm::core::ckpt;
     use ccmm::core::fault::{FaultPlan, PerturbPlan};
     use ccmm::core::parse::{render_computation, render_observer};
-    use ccmm::core::sweep::supervisor::SweepStatus;
-    use ccmm::stress::{self, Mutation, StressCkpt, StressConfig};
+    use ccmm::stress::{self, Mutation, StressConfig};
     use std::time::Instant;
 
     let mut seed = 0u64;
@@ -1066,6 +1082,10 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
                     Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
             }
             "--fault" => fault_spec = Some(take("--fault")?),
+            "--self-test" => do_self_test = true,
+            "--metrics" => metrics_path = Some(take("--metrics")?),
+            "--trace" => trace_path = Some(take("--trace")?),
+            "--progress" => progress = true,
             "--ckpt" => ckpt_path = Some(take("--ckpt")?),
             "--ckpt-every" => {
                 ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
@@ -1074,21 +1094,13 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
                 }
             }
             "--resume" => resume_path = Some(take("--resume")?),
-            "--self-test" => do_self_test = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
-    }
+    let journal = journal_flags(ckpt_path, resume_path)?;
 
     if do_self_test {
         // Prove the oracle has teeth before trusting a green run: a
@@ -1113,46 +1125,16 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     if let Some(secs) = deadline_secs {
         cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
     }
-    let fault = match &fault_spec {
-        Some(spec) => FaultPlan::from_spec(spec)?,
-        None => FaultPlan::none(),
-    };
+    let fault = FaultPlan::from_spec(fault_spec.as_deref().unwrap_or(""))?;
 
     // Checkpoint journal: same scheme as `ccmm sweep` — the fingerprint
     // pins (seed, iters, threads, perturb shape, mutation) so a journal
     // cannot resume into a different run.
-    let fingerprint = cfg.fingerprint();
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
-    }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                stress::decode_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None,
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some((f, _)) = &resume_state {
-            println!("resuming from {path}: {} iteration(s) already complete", f.len());
-        }
+    let decode = latest(stress::decode_snapshot);
+    let (mut writer, resume_state) =
+        open_journal("checkpoint", &journal, &cfg.fingerprint(), decode)?;
+    if let (Some((path, _)), Some((f, _))) = (&journal, &resume_state) {
+        println!("resuming from {path}: {} iteration(s) already complete", f.len());
     }
 
     let mut tel = TelemetrySink::new("stress", trace_path, metrics_path, progress);
@@ -1163,7 +1145,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     );
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("stress/iterations");
-    let sink = writer.as_mut().map(|w| StressCkpt { writer: w, every: ckpt_every });
+    let sink = writer.as_mut().map(|w| (w, ckpt_every));
     let report = stress::run_supervised(&cfg, &fault, resume_state, sink);
     drop(phase_span);
     let wall = t0.elapsed();
@@ -1179,19 +1161,22 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     // Deterministic per (seed, iters, threads): iteration and check
     // counts, and any failure. Timing-dependent (reported, never
     // compared): distinct observers and the SC tallies.
+    let tally = &report.value;
     println!(
         "completed {}/{} iteration(s), {} conformance check(s) [{wall:.2?}] ({})",
         report.frontier.len(),
-        report.total,
-        report.checks,
+        report.total_tasks,
+        tally.checks,
         status_name(report.status)
     );
     println!(
         "timing-dependent: {} distinct threaded observer(s); SC membership {}/{}",
-        report.distinct_observers, report.sc_member, report.sc_checked
+        tally.distinct_observers.len(),
+        tally.sc_member,
+        tally.sc_checked
     );
 
-    if let Some(f) = report.failures.first() {
+    if let Some(f) = tally.failures.first() {
         println!(
             "CONFORMANCE FAILURE at iteration {} (leg: {}, workload: {}, kind: {})",
             f.iteration, f.leg, f.workload, f.kind
@@ -1209,39 +1194,23 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         print!("{}", render_observer(&f.phi));
         return Ok(exit::FAIL);
     }
-    if report.status == SweepStatus::Killed {
-        let journal = ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or("<journal>");
-        println!(
-            "killed by fault plan after {} checkpoint record(s); resume with --resume {journal}",
-            writer.as_ref().map_or(0, |w| w.snapshots())
-        );
-        return Ok(exit::KILLED);
-    }
-    if report.status == SweepStatus::Partial {
-        println!(
-            "deadline hit: {}/{} iteration(s) complete; resume frontier: {:?}",
-            report.frontier.len(),
-            report.total,
-            report.frontier.ranges()
-        );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
-        }
-        return Ok(exit::PARTIAL);
-    }
-    Ok(match report.status {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    let stop = report_stop(
+        report.status,
+        &report.frontier,
+        report.total_tasks,
+        "iteration(s) complete",
+        None,
+        &journal,
+        &writer,
+    );
+    Ok(stop.unwrap_or_else(|| exit_code(report.status)))
 }
 
 fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
     use ccmm::backer::FaultInjection;
-    use ccmm::core::ckpt;
-    use ccmm::core::sweep::supervisor::SweepStatus;
-    use ccmm::watch::{self, WatchCkpt, WatchConfig};
+    use ccmm::core::fault::FaultPlan;
+    use ccmm::core::sweep::supervisor::{Cadence, SweepStatus};
+    use ccmm::watch::{self, WatchConfig};
     use ccmm_bench::report::{emit, latest_matching_shape, SweepRecord};
     use std::time::Instant;
 
@@ -1292,6 +1261,10 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
             "--sample-cap" => {
                 sample_cap = take("--sample-cap")?.parse().map_err(|_| "bad --sample-cap")?;
             }
+            "--gate" => gate = true,
+            "--metrics" => metrics_path = Some(take("--metrics")?),
+            "--trace" => trace_path = Some(take("--trace")?),
+            "--progress" => progress = true,
             "--ckpt" => ckpt_path = Some(take("--ckpt")?),
             "--ckpt-every" => {
                 ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
@@ -1300,21 +1273,13 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
                 }
             }
             "--resume" => resume_path = Some(take("--resume")?),
-            "--gate" => gate = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if procs == 0 {
         return Err("--procs must be at least 1".into());
     }
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
-    }
+    let journal = journal_flags(ckpt_path, resume_path)?;
 
     let trace = watch::parse_trace_workload(&workload)?;
     let mut cfg = WatchConfig::new(&workload);
@@ -1346,38 +1311,11 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
 
     // Checkpoint journal: the fingerprint pins everything that makes the
     // replay-based resume deterministic.
-    let fingerprint = cfg.fingerprint();
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
-    }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                watch::decode_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None,
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some(s) = &resume_state {
-            println!("resuming from {path}: {} node(s) already committed", s.position);
-        }
+    let decode = latest(watch::decode_snapshot);
+    let (mut writer, resume_state) =
+        open_journal("checkpoint", &journal, &cfg.fingerprint(), decode)?;
+    if let (Some((path, _)), Some(snapshot)) = (&journal, &resume_state) {
+        println!("resuming from {path}: {} node(s) already committed", snapshot.position);
     }
 
     let mut tel = TelemetrySink::new("watch", trace_path, metrics_path, progress);
@@ -1388,8 +1326,9 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
     );
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("watch/stream");
-    let sink = writer.as_mut().map(|w| WatchCkpt { writer: w, every: ckpt_every });
-    let report = watch::run_supervised(&cfg, &trace, resume_state, sink)?;
+    let no_faults = FaultPlan::none();
+    let cadence = writer.as_mut().map(|w| Cadence::new(w, ckpt_every, &no_faults));
+    let report = watch::run_supervised(&cfg, &trace, resume_state, cadence)?;
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("stream", wall);
@@ -1451,16 +1390,17 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
     emit(bench_json, &[record]).map_err(|e| format!("writing bench json: {e}"))?;
     println!("bench: appended watch/{workload} [stream] to {bench_json}");
 
-    if report.status == SweepStatus::Partial {
-        println!(
-            "deadline hit: {}/{total} node(s) committed; resume frontier: {:?}",
-            report.frontier.len(),
-            report.frontier.ranges()
-        );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
-        }
-        return Ok(exit::PARTIAL);
+    let stop = report_stop(
+        report.status,
+        &report.frontier,
+        total,
+        "node(s) committed",
+        None,
+        &journal,
+        &writer,
+    );
+    if let Some(code) = stop {
+        return Ok(code);
     }
     if !report.passed() && report.status == SweepStatus::Complete {
         println!(
@@ -1490,12 +1430,7 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
             status_name(report.status)
         );
     }
-    Ok(match report.status {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    Ok(exit_code(report.status))
 }
 
 /// Installs `handler` for `SIGTERM` and `SIGINT`. Raw `signal(2)` FFI —
@@ -1866,8 +1801,9 @@ USAGE:
                                            skip-reconcile) to exercise the
                                            oracle; --self-test proves a seeded
                                            mutation is caught before the run.
-                                           Supervision matches sweep:
-                                           quarantine (exit 3), deadline +
+                                           Supervision is sweep's engine:
+                                           quarantine or a failed journal
+                                           append (exit 3), deadline +
                                            resume frontier (exit 4), --ckpt/
                                            --resume journals, --fault (exit 70
                                            killed)
@@ -1896,7 +1832,8 @@ USAGE:
                                            deadline → exit 4 + node frontier,
                                            --ckpt/--resume journals with
                                            replay-verified resume, sample
-                                           panics quarantined (exit 3).
+                                           panics quarantined or a failed
+                                           journal append (exit 3).
                                            Appends reveals/sec + counters to
                                            BENCH_sweep.json; --gate fails on
                                            >2x regression vs the same-shape

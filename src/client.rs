@@ -16,7 +16,8 @@
 //! by a splitmix64 stream over the seed — deterministic per seed, so
 //! soak failures replay with the same timing shape.
 
-use ccmm_core::serve::{encode_frame, mix64, FrameDecoder, FrameEvent, Reply, MAX_FRAME};
+use ccmm_core::fault::splitmix64;
+use ccmm_core::serve::{encode_frame, FrameDecoder, FrameEvent, Reply, MAX_FRAME};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -43,7 +44,7 @@ impl Backoff {
         self.attempt += 1;
         // Half-jitter: keep [raw/2, raw], deterministically per seed.
         let jitter =
-            if raw > 1 { mix64(self.seed ^ self.attempt as u64) % (raw / 2 + 1) } else { 0 };
+            if raw > 1 { splitmix64(self.seed ^ self.attempt as u64) % (raw / 2 + 1) } else { 0 };
         Duration::from_millis((raw - jitter).max(floor_ms))
     }
 

@@ -11,12 +11,14 @@
 //! ([`Mutation`]) reproducibly catchable even on a single-core machine,
 //! where real data races may never materialize.
 //!
-//! The loop is supervised with the same machinery as `ccmm sweep`:
-//! a panicking iteration is retried once and then quarantined, a
-//! deadline turns the run Partial with a resume [`Frontier`], the
-//! frontier is journalled through [`ckpt::CkptWriter`], and a
-//! [`FaultPlan`] can panic/delay/kill specific iterations to exercise
-//! the supervision itself.
+//! The loop is a one-worker run of the engine behind `ccmm sweep`
+//! ([`supervisor::run_supervised`]) over iteration indices: a panicking
+//! iteration is retried once and then quarantined, a deadline turns the
+//! run Partial with a resume [`Frontier`], the frontier is journalled
+//! through [`ckpt::CkptWriter`] on the engine's cadence (a failed append
+//! degrades the run), and a [`FaultPlan`] can panic/delay/kill specific
+//! iterations or fail a journal record to exercise the supervision
+//! itself.
 //!
 //! Determinism contract (per `(seed, iters, threads)`): the workload
 //! sequence, the perturbation decisions, the simulator-leg observers,
@@ -29,14 +31,13 @@
 use ccmm_backer::harvest::harvest_observers_cfg;
 use ccmm_backer::{threads, BackerConfig, FaultInjection, PerturbPlan};
 use ccmm_conformance::{shrink, sources};
-use ccmm_core::fault::FaultPlan;
-use ccmm_core::sweep::supervisor::{Frontier, Quarantined, SweepStatus};
-use ccmm_core::telemetry;
+use ccmm_core::fault::{splitmix64, FaultPlan};
+use ccmm_core::sweep::supervisor::{self, CkptSink, Frontier, Supervised, SweepStatus};
 use ccmm_core::{ckpt, Computation, Lc, Location, MemoryModel, ObserverFunction, Op, Sc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::ops::ControlFlow;
+use std::time::Duration;
 
 /// A deliberately weakened executor, used by the self-test to prove the
 /// harness catches real protocol bugs. Each mutation maps to a
@@ -163,44 +164,46 @@ pub struct Failure {
     pub shrink_steps: usize,
 }
 
-/// The outcome of a stress run.
-#[derive(Debug)]
-pub struct StressReport {
-    /// Supervision verdict (Complete / Degraded / Partial / Killed).
-    pub status: SweepStatus,
-    /// Completed iteration indices (includes resumed-from ones).
-    pub frontier: Frontier,
-    /// Total iterations requested.
-    pub total: usize,
+/// What a stress run tallies — one iteration's delta, and the merged
+/// total a [`StressReport`] carries.
+#[derive(Debug, Default)]
+pub struct StressTally {
     /// Conformance checks performed — deterministic per (S, N, T).
     pub checks: u64,
     /// Conformance failures (the run stops at the first).
     pub failures: Vec<Failure>,
-    /// Iterations quarantined after panicking twice.
-    pub quarantined: Vec<Quarantined>,
     /// Distinct observers seen from the threaded leg — timing-dependent.
-    pub distinct_observers: usize,
+    pub distinct_observers: Vec<ObserverFunction>,
     /// Threaded-leg observers that were also SC — timing-dependent.
     pub sc_member: u64,
     /// Threaded-leg observers SC-checked — timing-dependent.
     pub sc_checked: u64,
-    /// A checkpoint-append failure, if journalling stopped.
-    pub ckpt_error: Option<String>,
 }
 
-impl StressReport {
-    /// Whether every iteration ran and conformed.
-    pub fn passed(&self) -> bool {
-        self.status == SweepStatus::Complete && self.failures.is_empty()
+impl StressTally {
+    /// Folds one iteration's delta in; breaks at a conformance failure.
+    fn merge(&mut self, delta: StressTally) -> ControlFlow<()> {
+        self.checks += delta.checks;
+        self.sc_member += delta.sc_member;
+        self.sc_checked += delta.sc_checked;
+        for phi in delta.distinct_observers {
+            if !self.distinct_observers.contains(&phi) {
+                self.distinct_observers.push(phi);
+            }
+        }
+        self.failures.extend(delta.failures);
+        if self.failures.is_empty() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The outcome of a stress run: the tally plus the engine's verdict
+/// (status, completed-iteration frontier, quarantined iterations, and any
+/// journalling failure).
+pub type StressReport = Supervised<StressTally>;
 
 /// The iteration seed: a pure function of the run seed and the index,
 /// so a resumed run derives identical per-iteration behaviour.
@@ -290,31 +293,16 @@ fn check_observer(
     }))
 }
 
-/// Per-iteration result folded into the report.
-struct IterDelta {
-    checks: u64,
-    sc_member: u64,
-    sc_checked: u64,
-    threaded_observers: Vec<ObserverFunction>,
-    failure: Option<Box<Failure>>,
-}
-
 /// Runs one iteration: the threaded leg (every time) and the simulator
 /// leg (on `harvest_every` boundaries).
-fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
+fn run_iteration(cfg: &StressConfig, iteration: usize) -> StressTally {
     let seed = iter_seed(cfg.seed, iteration);
     let (workload, c) = workload_for(seed);
     let plan = cfg.perturb.clone().with_seed(seed);
     let backer = BackerConfig::with_processors(cfg.threads)
         .cache_capacity(cfg.cache_lines.max(1))
         .faults(cfg.mutation.faults());
-    let mut delta = IterDelta {
-        checks: 0,
-        sc_member: 0,
-        sc_checked: 0,
-        threaded_observers: Vec::new(),
-        failure: None,
-    };
+    let mut delta = StressTally::default();
 
     // Threaded leg: real OS threads under the perturbation plan.
     let r = threads::run_perturbed(&c, &backer, &plan);
@@ -326,10 +314,10 @@ fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
         delta.sc_member += Sc.contains(&c, &r.observer) as u64;
     }
     if let Err(f) = check_observer(iteration, seed, &workload, "threaded", &c, &r.observer) {
-        delta.failure = Some(f);
+        delta.failures.push(*f);
         return delta;
     }
-    delta.threaded_observers.push(r.observer);
+    delta.distinct_observers.push(r.observer);
 
     // Simulator leg: deterministic seeded schedules through the same
     // protocol switches — the leg that reproduces mutations reliably.
@@ -337,7 +325,7 @@ fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
         for phi in harvest_observers_cfg(&c, 3, cfg.threads, cfg.cache_lines, seed, &backer) {
             delta.checks += 1;
             if let Err(f) = check_observer(iteration, seed, &workload, "sim", &c, &phi) {
-                delta.failure = Some(f);
+                delta.failures.push(*f);
                 return delta;
             }
         }
@@ -366,132 +354,40 @@ pub fn decode_snapshot(mut bytes: &[u8]) -> Option<(Frontier, u64)> {
     }
 }
 
-/// Journalling plumbing for [`run_supervised`].
-pub struct StressCkpt<'a> {
-    /// Open journal (created with the config's fingerprint).
-    pub writer: &'a mut ckpt::CkptWriter,
-    /// Snapshot every this many completed iterations.
-    pub every: usize,
-}
-
-/// Runs the stress loop under supervision.
+/// Runs the stress loop under supervision: a one-worker
+/// [`supervisor::run_supervised`] over the iteration indices.
 ///
-/// The loop is serial over iterations (the executor under test is
-/// internally parallel — nesting thread pools would only dilute the
-/// contention the perturbation works to create), but carries the full
-/// supervisor contract: panic → retry once → quarantine; deadline →
-/// Partial with a resume frontier; `fault` can panic/delay specific
-/// iterations and kill after checkpoint records; `resume` skips
-/// already-completed iterations. The run stops early at the first
-/// conformance failure — there is nothing more valuable to learn, and
-/// the failing seed plus shrunk trace is the deliverable.
+/// One worker, because the executor under test is internally parallel —
+/// nesting thread pools would only dilute the contention the
+/// perturbation works to create. The run carries the full supervisor
+/// contract: panic → retry once → quarantine; deadline → Partial with a
+/// resume frontier; `fault` can panic/delay specific iterations, kill
+/// after checkpoint records and fail a record's write; `resume` skips
+/// already-completed iterations; `ckpt` (`(journal, every-N-iterations)`)
+/// journals `(frontier, checks)` snapshots. The run stops early at the
+/// first conformance failure — there is nothing more valuable to learn,
+/// and the failing seed plus shrunk trace is the deliverable.
 pub fn run_supervised(
     cfg: &StressConfig,
     fault: &FaultPlan,
     resume: Option<(Frontier, u64)>,
-    mut ckpt_sink: Option<StressCkpt<'_>>,
+    ckpt: Option<(&mut ckpt::CkptWriter, usize)>,
 ) -> StressReport {
-    let ids: Vec<usize> = (0..cfg.iters).collect();
-    fault.resolve_indices(&ids);
-    let (mut frontier, mut checks) = resume.unwrap_or((Frontier::new(), 0));
-    let mut report = StressReport {
-        status: SweepStatus::Complete,
-        frontier: Frontier::new(),
-        total: cfg.iters,
-        checks,
-        failures: Vec::new(),
-        quarantined: Vec::new(),
-        distinct_observers: 0,
-        sc_member: 0,
-        sc_checked: 0,
-        ckpt_error: None,
-    };
-    let mut distinct: Vec<ObserverFunction> = Vec::new();
-    let mut since_ckpt = 0usize;
-    let mut killed = false;
-    let start = Instant::now();
-
-    for i in 0..cfg.iters {
-        if frontier.contains(i) {
-            continue;
-        }
-        if cfg.deadline.is_some_and(|d| start.elapsed() >= d) {
-            report.status = SweepStatus::Partial;
-            break;
-        }
-        let delta = match catch_unwind(AssertUnwindSafe(|| {
-            fault.before_task(i);
-            run_iteration(cfg, i)
-        })) {
-            Ok(d) => d,
-            Err(_first) => match catch_unwind(AssertUnwindSafe(|| {
-                fault.before_task(i);
-                run_iteration(cfg, i)
-            })) {
-                Ok(d) => d,
-                Err(second) => {
-                    telemetry::count(telemetry::Counter::Quarantines, 1);
-                    report.quarantined.push(Quarantined {
-                        task_idx: i,
-                        size: 0,
-                        payload: ccmm_core::fault::payload_string(second),
-                    });
-                    continue;
-                }
-            },
-        };
-        checks += delta.checks;
-        report.sc_member += delta.sc_member;
-        report.sc_checked += delta.sc_checked;
-        for phi in delta.threaded_observers {
-            if !distinct.contains(&phi) {
-                distinct.push(phi);
-            }
-        }
-        if let Some(f) = delta.failure {
-            report.failures.push(*f);
-            frontier.insert(i);
-            break;
-        }
-        frontier.insert(i);
-        telemetry::progress_tick(frontier.len(), cfg.iters, report.quarantined.len());
-        if let Some(sink) = ckpt_sink.as_mut() {
-            if report.ckpt_error.is_none() {
-                since_ckpt += 1;
-                if since_ckpt >= sink.every.max(1) {
-                    since_ckpt = 0;
-                    match sink.writer.append(&encode_snapshot(&frontier, checks)) {
-                        Ok(()) => {
-                            telemetry::count(telemetry::Counter::CkptRecords, 1);
-                            if fault.should_kill(sink.writer.snapshots()) {
-                                killed = true;
-                            }
-                        }
-                        Err(e) => report.ckpt_error = Some(e.to_string()),
-                    }
-                }
-            }
-        }
-        if killed {
-            report.status = SweepStatus::Killed;
-            break;
-        }
-    }
-
-    report.checks = checks;
-    report.distinct_observers = distinct.len();
-    let scanned = frontier.len() + report.quarantined.len();
-    if report.status == SweepStatus::Complete {
-        report.status = if scanned < cfg.iters && report.failures.is_empty() {
-            SweepStatus::Partial
-        } else if !report.quarantined.is_empty() {
-            SweepStatus::Degraded
-        } else {
-            SweepStatus::Complete
-        };
-    }
-    report.frontier = frontier;
-    report
+    let (frontier, checks) = resume.unwrap_or_default();
+    let encode = |tally: &StressTally, f: &Frontier| encode_snapshot(f, tally.checks);
+    let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
+    supervisor::run_supervised(
+        (0..cfg.iters).collect(),
+        1,
+        cfg.deadline,
+        fault,
+        frontier,
+        StressTally { checks, ..StressTally::default() },
+        sink,
+        || (),
+        |&i, _| run_iteration(cfg, i),
+        |tally, delta, _| tally.merge(delta),
+    )
 }
 
 /// Convenience entry: unsupervised faults, no checkpoint.
@@ -509,7 +405,7 @@ pub fn self_test(threads: usize) -> Result<(), String> {
     cfg.harvest_every = 1; // the deterministic leg every iteration
     cfg.mutation = Mutation::SkipReconcile;
     let mutated = run(&cfg);
-    let Some(f) = mutated.failures.first() else {
+    let Some(f) = mutated.value.failures.first() else {
         return Err("self-test: the skip-reconcile mutation was NOT caught".into());
     };
     if f.c.node_count() == 0 {
@@ -528,11 +424,11 @@ pub fn self_test(threads: usize) -> Result<(), String> {
     }
     cfg.mutation = Mutation::None;
     let clean = run(&cfg);
-    if !clean.passed() {
+    if clean.status != SweepStatus::Complete || !clean.value.failures.is_empty() {
         return Err(format!(
             "self-test: unmutated executor failed conformance (status {:?}, {} failure(s))",
             clean.status,
-            clean.failures.len()
+            clean.value.failures.len()
         ));
     }
     Ok(())
@@ -548,9 +444,12 @@ mod tests {
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.status, SweepStatus::Complete);
-        assert_eq!(a.checks, b.checks, "check count is part of the determinism contract");
-        assert_eq!(a.failures.len(), 0);
-        assert_eq!(b.failures.len(), 0);
+        assert_eq!(
+            a.value.checks, b.value.checks,
+            "check count is part of the determinism contract"
+        );
+        assert_eq!(a.value.failures.len(), 0);
+        assert_eq!(b.value.failures.len(), 0);
         assert_eq!(a.frontier, b.frontier);
     }
 
@@ -577,8 +476,12 @@ mod tests {
         let mut cfg2 = cfg.clone();
         cfg2.iters = r.frontier.len() + 5;
         cfg2.deadline = None;
-        let resumed =
-            run_supervised(&cfg2, &FaultPlan::none(), Some((r.frontier.clone(), r.checks)), None);
+        let resumed = run_supervised(
+            &cfg2,
+            &FaultPlan::none(),
+            Some((r.frontier.clone(), r.value.checks)),
+            None,
+        );
         assert_eq!(resumed.status, SweepStatus::Complete);
         assert_eq!(resumed.frontier.len(), cfg2.iters);
     }
@@ -600,7 +503,7 @@ mod tests {
         cfg.harvest_every = 1;
         cfg.mutation = Mutation::SkipReconcile;
         let r = run(&cfg);
-        let f = r.failures.first().expect("skip-reconcile must be caught");
+        let f = r.value.failures.first().expect("skip-reconcile must be caught");
         assert!(f.c.node_count() >= 1);
         assert!(f.shrink_steps > 0 || f.c.node_count() <= 3, "trace should have shrunk");
         assert_eq!(f.seed, iter_seed(cfg.seed, f.iteration));

@@ -24,24 +24,26 @@
 //! small while the stream runs to millions.
 //!
 //! Supervision is the §8 contract shared with `ccmm sweep` and
-//! `ccmm stress`: a deadline turns the run Partial with a node
-//! [`Frontier`], progress is journalled through [`ckpt::CkptWriter`]
-//! (fingerprint-pinned, crash-safe), and a panicking conformance sample
-//! is retried once then quarantined without stopping the stream. Resume
-//! is *replay-based*: the runner and checker are deterministic per
-//! config, so a resumed run re-executes to the journalled position with
-//! sampling disabled, asserts the violation counters match the snapshot
-//! bit-for-bit, and only then continues fresh work — no protocol state
-//! ever needs serialising.
+//! `ccmm stress`, on the engine's own pieces: a deadline turns the run
+//! Partial with a node [`Frontier`], progress is journalled through the
+//! engine's [`Cadence`] (fingerprint-pinned, crash-safe; a failed append
+//! degrades the run), a panicking conformance sample goes through
+//! [`retry_once`] (retried once, then quarantined without stopping the
+//! stream), and [`SweepStatus::of`] decides how the run ended. The loop
+//! itself stays here because its unit is a sequential stream, not a
+//! queue of independent tasks. Resume is *replay-based*: the runner and
+//! checker are deterministic per config, so a resumed run re-executes to
+//! the journalled position with sampling disabled, asserts the violation
+//! counters match the snapshot bit-for-bit, and only then continues fresh
+//! work — no protocol state ever needs serialising.
 
 use ccmm_backer::{BackerConfig, FaultInjection, Stats, StreamRunner};
 use ccmm_cilk::{fib_trace, matmul_trace, stencil_trace, RawTrace};
 use ccmm_core::last_writer::last_writer_function;
 use ccmm_core::model::CheckScratch;
-use ccmm_core::sweep::supervisor::{Frontier, Quarantined, SweepStatus};
+use ccmm_core::sweep::supervisor::{retry_once, Cadence, Frontier, Quarantined, SweepStatus};
 use ccmm_core::{ckpt, telemetry, Computation, Lc, MemoryModel, Sc, StreamChecker, StreamVerdicts};
 use ccmm_dag::NodeId;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Parses a trace workload spec: `fib:N`, `matmul:N` (N a power of two),
@@ -155,6 +157,20 @@ pub struct WatchSnapshot {
     pub divergences: u64,
 }
 
+impl WatchSnapshot {
+    /// The snapshot of a stream committed up to `position`.
+    fn at(position: usize, v: &StreamVerdicts, samples: u64, divergences: u64) -> Self {
+        WatchSnapshot {
+            position,
+            validity_violations: v.validity_violations,
+            sc_violations: v.sc_violations,
+            lc_violations: v.lc_violations,
+            samples,
+            divergences,
+        }
+    }
+}
+
 /// Encodes a checkpoint payload (six little-endian u64s).
 fn encode_snapshot(s: &WatchSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
@@ -180,18 +196,11 @@ pub fn decode_snapshot(mut bytes: &[u8]) -> Option<WatchSnapshot> {
     bytes.is_empty().then_some(s)
 }
 
-/// Journalling plumbing for [`run_supervised`].
-pub struct WatchCkpt<'a> {
-    /// Open journal (created with the config's fingerprint).
-    pub writer: &'a mut ckpt::CkptWriter,
-    /// Snapshot every this many committed nodes.
-    pub every: usize,
-}
-
 /// The outcome of a watch run.
 #[derive(Debug)]
 pub struct WatchReport {
-    /// Supervision verdict (Complete / Degraded / Partial).
+    /// Supervision verdict (Complete / Degraded / Partial, or Killed by
+    /// the journal's fault plan).
     pub status: SweepStatus,
     /// Workload label from the config.
     pub workload: String,
@@ -237,14 +246,7 @@ impl WatchReport {
 
     /// The resumable snapshot equivalent to this report's end state.
     pub fn snapshot(&self) -> WatchSnapshot {
-        WatchSnapshot {
-            position: self.frontier.len(),
-            validity_violations: self.verdicts.validity_violations,
-            sc_violations: self.verdicts.sc_violations,
-            lc_violations: self.verdicts.lc_violations,
-            samples: self.samples,
-            divergences: self.divergences,
-        }
+        WatchSnapshot::at(self.frontier.len(), &self.verdicts, self.samples, self.divergences)
     }
 }
 
@@ -293,12 +295,13 @@ fn batch_prefix_verdicts(trace: &RawTrace, obs: &[Option<NodeId>], k: usize) -> 
 /// full contract; `resume` must come from a journal whose fingerprint
 /// matched this config, and the function fails (rather than silently
 /// mis-resuming) if the deterministic replay disagrees with the
-/// snapshot's counters.
+/// snapshot's counters. `journal` snapshots every `every` fresh commits
+/// and once more at the end.
 pub fn run_supervised(
     cfg: &WatchConfig,
     trace: &RawTrace,
     resume: Option<WatchSnapshot>,
-    mut ckpt_sink: Option<WatchCkpt<'_>>,
+    mut journal: Option<Cadence<'_>>,
 ) -> Result<WatchReport, String> {
     let total = trace.node_count();
     let snap = resume.unwrap_or_default();
@@ -317,9 +320,8 @@ pub fn run_supervised(
     let mut divergences = snap.divergences;
     let mut first_divergence = None;
     let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut status = SweepStatus::Complete;
-    let mut ckpt_error: Option<String> = None;
-    let mut since_ckpt = 0usize;
+    let mut deadline_hit = false;
+    let mut killed = false;
     let start = Instant::now();
 
     while let Some((u, op, observed)) = runner.step(&trace.dag, &trace.ops) {
@@ -357,21 +359,13 @@ pub fn run_supervised(
         if cfg.sample_every > 0 && k <= cfg.sample_cap && k.is_multiple_of(cfg.sample_every) {
             let sv = checker.verdicts();
             let streamed = (sv.valid, sv.sc, sv.lc);
-            let run_once = || batch_prefix_verdicts(trace, &obs_buf, k);
-            let batch = match catch_unwind(AssertUnwindSafe(run_once)) {
+            let sample = |_: &mut ()| batch_prefix_verdicts(trace, &obs_buf, k);
+            let batch = match retry_once(k, k, &mut (), || (), sample) {
                 Ok(b) => Some(b),
-                Err(_first) => match catch_unwind(AssertUnwindSafe(run_once)) {
-                    Ok(b) => Some(b),
-                    Err(second) => {
-                        telemetry::count(telemetry::Counter::Quarantines, 1);
-                        quarantined.push(Quarantined {
-                            task_idx: k,
-                            size: k,
-                            payload: ccmm_core::fault::payload_string(second),
-                        });
-                        None
-                    }
-                },
+                Err(q) => {
+                    quarantined.push(q);
+                    None
+                }
             };
             if let Some(batch) = batch {
                 samples += 1;
@@ -386,25 +380,11 @@ pub fn run_supervised(
         }
 
         // Journal a snapshot every `every` fresh commits.
-        if let Some(sink) = ckpt_sink.as_mut() {
-            if ckpt_error.is_none() {
-                since_ckpt += 1;
-                if since_ckpt >= sink.every.max(1) {
-                    since_ckpt = 0;
-                    let v = checker.verdicts();
-                    let s = WatchSnapshot {
-                        position: k,
-                        validity_violations: v.validity_violations,
-                        sc_violations: v.sc_violations,
-                        lc_violations: v.lc_violations,
-                        samples,
-                        divergences,
-                    };
-                    match sink.writer.append(&encode_snapshot(&s)) {
-                        Ok(()) => telemetry::count(telemetry::Counter::CkptRecords, 1),
-                        Err(e) => ckpt_error = Some(e.to_string()),
-                    }
-                }
+        if let Some(cadence) = journal.as_mut() {
+            let snapshot = || WatchSnapshot::at(k, &checker.verdicts(), samples, divergences);
+            if cadence.tick(|| encode_snapshot(&snapshot())) {
+                killed = true;
+                break;
             }
         }
 
@@ -412,7 +392,7 @@ pub fn run_supervised(
         if k & 1023 == 0 {
             telemetry::progress_tick(k, total, quarantined.len());
             if cfg.deadline.is_some_and(|d| start.elapsed() >= d) {
-                status = SweepStatus::Partial;
+                deadline_hit = true;
                 break;
             }
         }
@@ -423,27 +403,13 @@ pub fn run_supervised(
 
     // Final snapshot so a Partial run resumes at its exact frontier
     // rather than the last periodic record.
-    if let Some(sink) = ckpt_sink.as_mut() {
-        if ckpt_error.is_none() && position > snap.position {
-            let v = checker.verdicts();
-            let s = WatchSnapshot {
-                position,
-                validity_violations: v.validity_violations,
-                sc_violations: v.sc_violations,
-                lc_violations: v.lc_violations,
-                samples,
-                divergences,
-            };
-            match sink.writer.append(&encode_snapshot(&s)) {
-                Ok(()) => telemetry::count(telemetry::Counter::CkptRecords, 1),
-                Err(e) => ckpt_error = Some(e.to_string()),
-            }
-        }
+    if let Some(cadence) = journal.as_mut().filter(|_| !killed && position > snap.position) {
+        let s = WatchSnapshot::at(position, &checker.verdicts(), samples, divergences);
+        killed = cadence.append(&encode_snapshot(&s));
     }
-
-    if status == SweepStatus::Complete && !quarantined.is_empty() {
-        status = SweepStatus::Degraded;
-    }
+    let ckpt_error = journal.and_then(|cadence| cadence.error().map(str::to_string));
+    let status =
+        SweepStatus::of(killed, deadline_hit, !quarantined.is_empty() || ckpt_error.is_some());
     let mut frontier = Frontier::new();
     for i in 0..position {
         frontier.insert(i);
@@ -536,6 +502,22 @@ mod tests {
         let fresh = run(&cfg, &trace).expect("uninterrupted run");
         assert_eq!(resumed.verdicts, fresh.verdicts, "resume must land on identical verdicts");
         assert_eq!(resumed.fresh_reveals as usize, trace.node_count() - stopped);
+    }
+
+    #[test]
+    fn journal_failure_degrades_but_keeps_every_verdict() {
+        let trace = parse_trace_workload("fib:8").expect("spec");
+        let cfg = WatchConfig::new("fib:8");
+        let path = std::env::temp_dir().join(format!("ccmm-watch-ioerr-{}", std::process::id()));
+        let mut writer = ckpt::CkptWriter::create(&path, &cfg.fingerprint()).expect("journal");
+        let fault = ccmm_core::fault::FaultPlan::none().io_error_at_record(1);
+        let journal = Cadence::new(&mut writer, 16, &fault);
+        let r = run_supervised(&cfg, &trace, None, Some(journal)).expect("run");
+        assert_eq!(r.status, SweepStatus::Degraded);
+        assert!(r.ckpt_error.as_deref().is_some_and(|e| e.contains("io error")), "{r:?}");
+        assert_eq!(r.frontier.len(), trace.node_count());
+        assert_eq!(r.verdicts, run(&cfg, &trace).expect("clean run").verdicts);
+        std::fs::remove_file(&path).expect("remove journal");
     }
 
     #[test]

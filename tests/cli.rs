@@ -587,6 +587,37 @@ fn stress_kill_and_resume_respects_the_seed_frontier() {
 }
 
 #[test]
+fn stress_journal_failure_degrades_and_keeps_the_check_count() {
+    let ckpt = std::env::temp_dir().join(format!("ccmm-cli-stress-ioerr-{}", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let shape = ["--seed", "1", "--iters", "10"];
+    let clean = bin().arg("stress").args(shape).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0));
+    let clean_text = String::from_utf8(clean.stdout).unwrap();
+
+    // The first journal record fails: the run keeps checking every
+    // iteration, but its resumability is gone, so it ends degraded.
+    let failed = bin()
+        .arg("stress")
+        .args(shape)
+        .args(["--ckpt-every", "1", "--fault", "io-error-at-record=1", "--ckpt"])
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    assert_eq!(failed.status.code(), Some(3), "a failed journal append exits degraded");
+    let stderr = String::from_utf8(failed.stderr).unwrap();
+    assert!(stderr.contains("warning: checkpoint journalling failed mid-run"), "{stderr}");
+    let text = String::from_utf8(failed.stdout).unwrap();
+    assert!(text.contains("(degraded)"), "{text}");
+    let checks = |text: &str| -> String {
+        let line = text.lines().find(|l| l.starts_with("completed ")).expect("completed line");
+        line.split(" [").next().unwrap().to_string()
+    };
+    assert_eq!(checks(&text), checks(&clean_text), "the journal failure loses no checks");
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn stress_self_test_catches_a_seeded_mutation() {
     let out =
         bin().args(["stress", "--self-test", "--iters", "2", "--threads", "2"]).output().unwrap();

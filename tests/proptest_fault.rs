@@ -1,5 +1,7 @@
 //! Property-based tests of the fault/perturbation spec grammars
-//! (`FaultPlan::from_spec`, `PerturbPlan::from_spec`). Two contracts:
+//! (`FaultPlan::from_spec`, `PerturbPlan::from_spec`,
+//! `ServeFaultPlan::from_spec`), which share one entry tokenizer and one
+//! renderer. Two contracts:
 //!
 //! 1. **Round trip.** `Display` renders the canonical spec string, and
 //!    parse ∘ display ∘ parse is the identity: whatever a spec meant,
@@ -165,6 +167,78 @@ proptest! {
             err.contains(&format!("entry {entry_no}")),
             "error must name entry {entry_no}: {err}"
         );
+    }
+
+    #[test]
+    fn malformed_serve_entry_error_names_its_position(
+        prefix in proptest::collection::vec(arb_serve_entry(), 0..4),
+        junk in arb_junk_key(),
+    ) {
+        let bad = format!("zz-{junk}=1");
+        let spec = if prefix.is_empty() { bad } else { format!("{},{bad}", prefix.join(",")) };
+        let err = ServeFaultPlan::from_spec(&spec).expect_err("unknown key must not parse");
+        let entry_no = prefix.len() + 1;
+        prop_assert!(
+            err.contains(&format!("entry {entry_no}")),
+            "error must name entry {entry_no}: {err}"
+        );
+    }
+}
+
+/// Every plan's error texts, byte for byte: the plan's label in the
+/// prefix, the 1-based entry number and text, and the shared messages
+/// for an unknown key, a missing `=`, a bad number, a bad or zero `1/K`
+/// ratio, a missing `:` half and a bad seed.
+#[test]
+fn spec_error_texts_are_pinned_byte_for_byte() {
+    type Parse = fn(&str) -> Result<(), String>;
+    let fault: Parse = |s| FaultPlan::from_spec(s).map(drop);
+    let perturb: Parse = |s| PerturbPlan::from_spec(s).map(drop);
+    let serve: Parse = |s| ServeFaultPlan::from_spec(s).map(drop);
+    let table: [(Parse, &str, &str); 16] = [
+        (fault, "seed=1,zap=2", "fault spec entry 2 (`zap=2`): unknown fault key `zap`"),
+        (fault, "panic-at-task", "fault spec entry 1 (`panic-at-task`): needs key=value"),
+        (
+            fault,
+            "kill-after-ckpt=x",
+            "fault spec entry 1 (`kill-after-ckpt=x`): `x` is not a number",
+        ),
+        (fault, "delay-at-task=3", "fault spec entry 1 (`delay-at-task=3`): needs task:millis"),
+        (fault, "seed=-1", "fault spec entry 1 (`seed=-1`): `-1` is not a valid seed"),
+        (perturb, "zap=1", "perturb spec entry 1 (`zap=1`): unknown perturb key `zap`"),
+        (perturb, "yield=2", "perturb spec entry 1 (`yield=2`): `2` is not a 1/K ratio"),
+        (
+            perturb,
+            "seed=1,yield=1/0",
+            "perturb spec entry 2 (`yield=1/0`): ratio denominator must be at least 1",
+        ),
+        (perturb, "spin=1/4", "perturb spec entry 1 (`spin=1/4`): needs 1/K:iters"),
+        (
+            perturb,
+            "steal=shuffle",
+            "perturb spec entry 1 (`steal=shuffle`): unknown steal mode `shuffle`",
+        ),
+        (serve, "zap=1", "serve fault spec entry 1 (`zap=1`): unknown serve fault key `zap`"),
+        (
+            serve,
+            "seed=1,drop=1/x",
+            "serve fault spec entry 2 (`drop=1/x`): `1/x` is not a 1/K ratio",
+        ),
+        (
+            serve,
+            "panic=1/0",
+            "serve fault spec entry 1 (`panic=1/0`): ratio denominator must be at least 1",
+        ),
+        (serve, "delay=1/4", "serve fault spec entry 1 (`delay=1/4`): needs 1/K:millis"),
+        (
+            serve,
+            "delay-at-request=3",
+            "serve fault spec entry 1 (`delay-at-request=3`): needs request:millis",
+        ),
+        (serve, "seed=s", "serve fault spec entry 1 (`seed=s`): `s` is not a valid seed"),
+    ];
+    for (parse, spec, want) in table {
+        assert_eq!(parse(spec).expect_err(spec), want, "spec `{spec}`");
     }
 }
 

@@ -21,8 +21,8 @@
 //! printed seed with the same fault placements.
 
 use ccmm::client::{query_with_retries, Connection};
-use ccmm::core::fault::ServeFaultPlan;
-use ccmm::core::serve::{mix64, render_request, verdict_line, Reply, Request, Verb, SERVED_MODELS};
+use ccmm::core::fault::{splitmix64, ServeFaultPlan};
+use ccmm::core::serve::{render_request, verdict_line, Reply, Request, Verb, SERVED_MODELS};
 use ccmm::core::{litmus, MemoryModel, ObserverFunction};
 use ccmm::serve::{spawn, ServeConfig};
 use rand::rngs::StdRng;
@@ -96,7 +96,7 @@ fn chaos_soak_serves_only_correct_verdicts_and_leaks_nothing() {
                     let mut t =
                         Tally { verdicts: 0, degraded: 0, no_reply: 0, wrong: Vec::new() };
                     for i in 0..REQUESTS_PER_CLIENT {
-                        let k = mix64(seed ^ ((tid as u64) << 32) ^ i as u64);
+                        let k = splitmix64(seed ^ ((tid as u64) << 32) ^ i as u64);
                         let probe = &pool[(k % pool.len() as u64) as usize];
                         let out = query_with_retries(addr, &probe.payload, 2_000, 8, k);
                         match out.reply {
