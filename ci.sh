@@ -89,6 +89,19 @@ diff <(counts "$scratch/clean.out") <(counts "$scratch/resumed.out") \
 diff <(lattice "$scratch/clean.out") <(lattice "$scratch/resumed.out") \
     || { echo "resumed lattice differs from the uninterrupted run"; exit 1; }
 
+echo "== figure 1 parity: ccmm lattice vs the sweep's lattice phase =="
+# The two commands that print Figure 1 must agree cell for cell. Both
+# read the matrix off one memberships pass; only the row indent differs,
+# so whitespace is normalised before the comparison.
+cells() { sed -E 's/^ +//; s/ +/ /g'; }
+ccmm lattice --nodes 4 | cells > "$scratch/lattice-cmd.cells"
+ccmm sweep --bound 4 > "$scratch/sweep-b4.out" 2>/dev/null
+grep -A7 "^lattice \[" "$scratch/sweep-b4.out" | tail -7 | cells > "$scratch/lattice-sweep.cells"
+[[ $(wc -l < "$scratch/lattice-cmd.cells") == 7 ]] \
+    || { echo "ccmm lattice did not print a 6x6 table"; exit 1; }
+diff "$scratch/lattice-cmd.cells" "$scratch/lattice-sweep.cells" \
+    || { echo "ccmm lattice and ccmm sweep print different Figure-1 cells"; exit 1; }
+
 echo "== lane engine smoke: scalar parity, thread determinism, kill/resume =="
 # The lane64 engine must produce bit-identical membership counts to the
 # scalar canonical engine at bound 5, at 1, 2, and 4 threads — and a

@@ -48,6 +48,30 @@ pub struct SweepRecord {
     pub counters: Vec<(String, u64)>,
 }
 
+/// What a baseline must share with a measurement besides experiment and
+/// engine: node bound (a trace's length, for a streamed trace), location
+/// count, and worker threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shape {
+    /// Universe node bound, or the node count of a single workload.
+    pub max_nodes: u64,
+    /// Location-alphabet size.
+    pub num_locations: u64,
+    /// Worker threads (processors, for a streamed trace).
+    pub threads: u64,
+}
+
+impl Shape {
+    /// The shape of a sweep over `u` at `threads` threads.
+    pub fn of(u: &Universe, threads: usize) -> Self {
+        Shape {
+            max_nodes: u.max_nodes as u64,
+            num_locations: u.num_locations as u64,
+            threads: threads as u64,
+        }
+    }
+}
+
 // Hand-rolled (not `impl_serde_struct!`) because the macro errors on
 // missing fields, and committed baselines predate `status`: absent ⇒
 // `"complete"`.
@@ -136,20 +160,39 @@ impl SweepRecord {
         pairs_checked: u64,
         fixpoint_passes: usize,
     ) -> Self {
+        let shape = Shape::of(u, threads);
+        SweepRecord {
+            universe_computations: u.count_computations_closed().min(u64::MAX as u128) as u64,
+            ..Self::of_shape(experiment, engine, shape, wall, pairs_checked, fixpoint_passes as u64)
+        }
+    }
+
+    /// Builds a record from a measured run over `shape`, deriving the
+    /// throughput. `universe_computations` is 0: this is the constructor
+    /// for a run over one workload rather than a swept universe, such as
+    /// a streamed trace whose `max_nodes` is its length.
+    pub fn of_shape(
+        experiment: impl Into<String>,
+        engine: impl Into<String>,
+        shape: Shape,
+        wall: Duration,
+        pairs_checked: u64,
+        fixpoint_passes: u64,
+    ) -> Self {
         let wall_ms = wall.as_secs_f64() * 1e3;
         let pairs_per_sec =
             if wall_ms > 0.0 { pairs_checked as f64 / wall.as_secs_f64() } else { 0.0 };
         SweepRecord {
             experiment: experiment.into(),
             engine: engine.into(),
-            max_nodes: u.max_nodes as u64,
-            num_locations: u.num_locations as u64,
-            universe_computations: u.count_computations_closed().min(u64::MAX as u128) as u64,
-            threads: threads as u64,
+            max_nodes: shape.max_nodes,
+            num_locations: shape.num_locations,
+            universe_computations: 0,
+            threads: shape.threads,
             wall_ms,
             pairs_checked,
             pairs_per_sec,
-            fixpoint_passes: fixpoint_passes as u64,
+            fixpoint_passes,
             status: "complete".to_string(),
             counters: Vec::new(),
         }
@@ -192,7 +235,7 @@ pub fn emit(path: &str, records: &[SweepRecord]) -> std::io::Result<()> {
 }
 
 /// The most recent **complete** record in the file at `path` matching
-/// the given experiment, engine, universe shape, and thread count — the
+/// the given experiment, engine, and shape (thread count included) — the
 /// committed baseline a perf gate compares a fresh measurement against.
 /// Degraded or partial records never serve as baselines (their timings
 /// cover an unknown fraction of the work), and a measurement is only
@@ -204,30 +247,7 @@ pub fn latest_matching(
     path: &str,
     experiment: &str,
     engine: &str,
-    u: &Universe,
-    threads: usize,
-) -> Option<SweepRecord> {
-    latest_matching_shape(
-        path,
-        experiment,
-        engine,
-        u.max_nodes as u64,
-        u.num_locations as u64,
-        threads as u64,
-    )
-}
-
-/// Like [`latest_matching`] but keyed on an explicit shape instead of a
-/// [`Universe`] — for streaming experiments whose workload is a single
-/// harvested trace (`max_nodes` = trace length) rather than a swept
-/// universe.
-pub fn latest_matching_shape(
-    path: &str,
-    experiment: &str,
-    engine: &str,
-    max_nodes: u64,
-    num_locations: u64,
-    threads: u64,
+    shape: Shape,
 ) -> Option<SweepRecord> {
     let text = std::fs::read_to_string(path).ok()?;
     let serde::Value::Seq(items) = serde_json::from_str::<serde::Value>(&text).ok()? else {
@@ -241,9 +261,9 @@ pub fn latest_matching_shape(
             r.status == "complete"
                 && r.experiment == experiment
                 && r.engine == engine
-                && r.max_nodes == max_nodes
-                && r.num_locations == num_locations
-                && r.threads == threads
+                && r.max_nodes == shape.max_nodes
+                && r.num_locations == shape.num_locations
+                && r.threads == shape.threads
         })
 }
 
@@ -310,17 +330,33 @@ mod tests {
         // universe shape in the same file.
         let r3 = SweepRecord::new("a", "serial", &u, 2, Duration::from_millis(4), 8, 0);
         emit(&path, std::slice::from_ref(&r3)).unwrap();
-        assert_eq!(latest_matching(&path, "a", "serial", &u, 2), Some(r3), "latest wins");
-        assert_eq!(latest_matching(&path, "b", "parallel", &u, 8), Some(r2));
-        assert_eq!(latest_matching(&path, "a", "parallel", &u, 2), None, "engine must match");
         assert_eq!(
-            latest_matching(&path, "a", "serial", &Universe::new(3, 1), 2),
+            latest_matching(&path, "a", "serial", Shape::of(&u, 2)),
+            Some(r3),
+            "latest wins"
+        );
+        assert_eq!(latest_matching(&path, "b", "parallel", Shape::of(&u, 8)), Some(r2));
+        assert_eq!(
+            latest_matching(&path, "a", "parallel", Shape::of(&u, 2)),
+            None,
+            "engine must match"
+        );
+        assert_eq!(
+            latest_matching(&path, "a", "serial", Shape::of(&Universe::new(3, 1), 2)),
             None,
             "shape must match"
         );
-        assert_eq!(latest_matching(&path, "a", "serial", &u, 4), None, "thread count must match");
+        assert_eq!(
+            latest_matching(&path, "a", "serial", Shape::of(&u, 4)),
+            None,
+            "thread count must match"
+        );
         let missing = temp_json("missing");
-        assert_eq!(latest_matching(&missing, "a", "serial", &u, 2), None, "missing file");
+        assert_eq!(
+            latest_matching(&missing, "a", "serial", Shape::of(&u, 2)),
+            None,
+            "missing file"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -397,12 +433,12 @@ mod tests {
         );
         emit(&path, &[scalar.clone(), lane.clone()]).unwrap();
         assert_eq!(
-            latest_matching(&path, "cli_sweep/memberships", "canonical", &u, 1),
+            latest_matching(&path, "cli_sweep/memberships", "canonical", Shape::of(&u, 1)),
             Some(scalar),
             "scalar gate must see the scalar baseline, not the faster lane record"
         );
         assert_eq!(
-            latest_matching(&path, "cli_sweep/memberships", "lane64", &u, 1),
+            latest_matching(&path, "cli_sweep/memberships", "lane64", Shape::of(&u, 1)),
             Some(lane),
             "lane gate must see the lane baseline, not the slower scalar record"
         );
@@ -418,7 +454,7 @@ mod tests {
             .with_status("partial");
         emit(&path, &[complete.clone(), partial]).unwrap();
         // The newer partial record is skipped; the complete one wins.
-        assert_eq!(latest_matching(&path, "g", "parallel", &u, 1), Some(complete));
+        assert_eq!(latest_matching(&path, "g", "parallel", Shape::of(&u, 1)), Some(complete));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,9 +18,65 @@
 //! Files use the text format of `ccmm_core::parse`; `-` reads stdin.
 
 use ccmm::core::parse::{parse_computation, parse_observer, render_observer};
+use ccmm::core::relation::LatticeRow;
+use ccmm::core::sweep::supervisor::SweepStatus;
 use ccmm::core::{Computation, Model};
+use ccmm_bench::report::{latest_matching, Shape, SweepRecord};
 use std::io::Read;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
+
+/// The six models of the paper's Figure 1, in its order.
+const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
+
+/// A subcommand's argument list, read front to back. Every subcommand
+/// reads its flags through [`Args::read`], so a missing value, an
+/// unparsable one and an unknown flag are the same usage error (exit 2)
+/// everywhere.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    /// Hands each argument of `args`, in order, to `accept` together with
+    /// the reader, from which `accept` takes the argument's value if it
+    /// has one. `accept` answers whether it knew the argument; the first
+    /// one it did not know is an `unknown flag` error.
+    fn read(
+        args: &'a [String],
+        mut accept: impl FnMut(&'a str, &mut Self) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        let mut reader = Args { rest: args.iter() };
+        while let Some(arg) = reader.rest.next() {
+            if !accept(arg, &mut reader)? {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The value after `flag`, parsed.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let raw = self.rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        raw.parse().map_err(|_| format!("bad {flag}"))
+    }
+
+    /// The value after `flag` as a count of threads, processors or tasks,
+    /// which must be at least 1.
+    fn count(&mut self, flag: &str) -> Result<usize, String> {
+        match self.value(flag)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// The value after `flag` as a wall-clock budget in seconds: a finite,
+    /// non-negative number.
+    fn seconds(&mut self, flag: &str) -> Result<Duration, String> {
+        Duration::try_from_secs_f64(self.value(flag)?).map_err(|e| format!("bad {flag}: {e}"))
+    }
+}
 
 fn read_input(path: &str) -> Result<String, String> {
     if path == "-" {
@@ -33,16 +89,11 @@ fn read_input(path: &str) -> Result<String, String> {
 }
 
 fn model_by_name(name: &str) -> Result<Model, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "sc" => Ok(Model::Sc),
-        "lc" => Ok(Model::Lc),
-        "nn" => Ok(Model::Nn),
-        "nw" => Ok(Model::Nw),
-        "wn" => Ok(Model::Wn),
-        "ww" => Ok(Model::Ww),
-        "any" => Ok(Model::Any),
-        other => Err(format!("unknown model `{other}` (sc|lc|nn|nw|wn|ww|any)")),
-    }
+    let name = name.to_ascii_lowercase();
+    Model::ALL
+        .into_iter()
+        .find(|m| m.name().eq_ignore_ascii_case(&name))
+        .ok_or_else(|| format!("unknown model `{name}` (sc|lc|nn|nw|wn|ww|any)"))
 }
 
 fn load_pair(
@@ -69,20 +120,19 @@ fn cmd_models(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<bool, String> {
+    const USAGE: &str = "usage: ccmm check --model <m> <computation> <observer>";
     let mut model = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--model" {
-            let v = it.next().ok_or("--model needs a value")?;
-            model = Some(model_by_name(v)?);
-        } else {
-            rest.push(a.clone());
+    let mut files = Vec::new();
+    Args::read(args, |arg, args| {
+        match arg {
+            "--model" => model = Some(model_by_name(&args.value::<String>(arg)?)?),
+            file => files.push(file),
         }
-    }
-    let model = model.ok_or("usage: ccmm check --model <m> <computation> <observer>")?;
-    let [cpath, opath] = rest.as_slice() else {
-        return Err("usage: ccmm check --model <m> <computation> <observer>".into());
+        Ok(true)
+    })?;
+    let model = model.ok_or(USAGE)?;
+    let [cpath, opath] = files.as_slice() else {
+        return Err(USAGE.into());
     };
     let (c, phi) = load_pair(cpath, opath)?;
     let member = model.contains(&c, &phi);
@@ -111,14 +161,13 @@ fn cmd_witness(args: &[String]) -> Result<(), String> {
 
 fn cmd_litmus(args: &[String]) -> Result<(), String> {
     let filter = args.first().map(String::as_str);
-    let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
     for t in ccmm::core::litmus::standard_tests() {
         if filter.is_some_and(|f| !t.name.eq_ignore_ascii_case(f)) {
             continue;
         }
         println!("=== {} ===", t.name);
         println!("{}", t.note);
-        for m in models {
+        for m in MODELS {
             let outs = t.outcomes(&m);
             println!("{:<4} {:>3} outcomes", m.name(), outs.len());
         }
@@ -148,20 +197,17 @@ fn cmd_backer(args: &[String]) -> Result<(), String> {
     let mut cache = 16usize;
     let mut page = 1usize;
     let mut runs = 10usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--workload" => workload = take("--workload")?,
-            "--procs" => procs = take("--procs")?.parse().map_err(|_| "bad --procs")?,
-            "--cache" => cache = take("--cache")?.parse().map_err(|_| "bad --cache")?,
-            "--page" => page = take("--page")?.parse().map_err(|_| "bad --page")?,
-            "--runs" => runs = take("--runs")?.parse().map_err(|_| "bad --runs")?,
-            other => return Err(format!("unknown flag `{other}`")),
+    Args::read(args, |flag, args| {
+        match flag {
+            "--workload" => workload = args.value(flag)?,
+            "--procs" => procs = args.count(flag)?,
+            "--cache" => cache = args.value(flag)?,
+            "--page" => page = args.value(flag)?,
+            "--runs" => runs = args.value(flag)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let c = parse_workload(&workload)?;
     let shape = ccmm::dag::metrics::shape(c.dag());
     println!(
@@ -199,38 +245,50 @@ fn cmd_backer(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lattice(args: &[String]) -> Result<(), String> {
-    let mut nodes = 3usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--nodes" {
-            nodes = it.next().ok_or("--nodes needs a value")?.parse().map_err(|_| "bad --nodes")?;
-        }
+/// Prints a Figure-1 relation matrix, one row per model, with every line
+/// indented by `indent`.
+fn print_lattice(indent: &str, rows: &[LatticeRow]) {
+    print!("{indent}{:<4}", "");
+    for row in rows {
+        print!("{:>4}", row.name);
     }
+    println!();
+    for row in rows {
+        print!("{indent}{:<4}", row.name);
+        for r in &row.relations {
+            print!("{:>4}", r.to_string());
+        }
+        println!();
+    }
+}
+
+/// Figure 1 at `--nodes N`, read off one memberships pass over the
+/// labelled universe, as `ccmm sweep` reads its lattice phase.
+fn cmd_lattice(args: &[String]) -> Result<(), String> {
+    use ccmm::core::sweep::supervisor::{memberships, Scalar, Supervisor};
+    use ccmm::core::sweep::SweepConfig;
+    let mut nodes = 3usize;
+    Args::read(args, |flag, args| {
+        match flag {
+            "--nodes" => nodes = args.value(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     if nodes > 4 {
         return Err("--nodes > 4 is too slow for the CLI; use exp_fig1".into());
     }
     let u = ccmm::core::universe::Universe::new(nodes, 1);
-    let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
-    print!("{:<4}", "");
-    for b in models {
-        print!("{:>4}", b.name());
-    }
-    println!();
-    for a in models {
-        print!("{:<4}", a.name());
-        for b in models {
-            print!("{:>4}", ccmm::core::relation::compare(&a, &b, &u).relation.to_string());
-        }
-        println!();
-    }
+    let cfg = SweepConfig::from_env();
+    let counts = memberships(Scalar, &MODELS, &u, &cfg, &Supervisor::none(), None, None).value;
+    print_lattice("", &counts.lattice(&MODELS));
     Ok(())
 }
 
-/// Exit codes distinguishing sweep outcomes (see `ccmm --help`):
-/// 0 complete, 1 gate/check failure, 2 usage or I/O error, 3 degraded
-/// (quarantined panics), 4 partial (deadline hit), 5 `--gate` without a
-/// baseline, 70 killed by the fault plan.
+/// Exit codes (see `ccmm --help`): 0 complete, 1 gate/check failure,
+/// 2 usage or I/O error (every bad flag or flag value), and for the
+/// supervised runs 3 degraded (quarantined panics), 4 partial (deadline
+/// hit), 5 `--gate` without a baseline, 70 killed by the fault plan.
 mod exit {
     pub const COMPLETE: u8 = 0;
     pub const FAIL: u8 = 1;
@@ -246,8 +304,7 @@ mod exit {
     pub const KILLED: u8 = 70;
 }
 
-fn status_name(s: ccmm::core::sweep::supervisor::SweepStatus) -> &'static str {
-    use ccmm::core::sweep::supervisor::SweepStatus;
+fn status_name(s: SweepStatus) -> &'static str {
     match s {
         SweepStatus::Complete => "complete",
         SweepStatus::Degraded => "degraded",
@@ -266,8 +323,7 @@ fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::
 }
 
 /// The exit code of a supervised run's final status.
-fn exit_code(s: ccmm::core::sweep::supervisor::SweepStatus) -> u8 {
-    use ccmm::core::sweep::supervisor::SweepStatus;
+fn exit_code(s: SweepStatus) -> u8 {
     match s {
         SweepStatus::Complete => exit::COMPLETE,
         SweepStatus::Degraded => exit::DEGRADED,
@@ -277,21 +333,19 @@ fn exit_code(s: ccmm::core::sweep::supervisor::SweepStatus) -> u8 {
 }
 
 /// Reports a supervised run that stopped short — killed by its fault
-/// plan, or out of deadline — with its resume hint, and returns its exit
-/// code; `None` for a run that went to the end. `units` ends the deadline
-/// line ("task(s) complete"), `phase` names a phase with a journal of its
-/// own, and the hint names `journal`'s path and the records `writer`
-/// appended to it.
+/// plan, or out of deadline — with its resume hint, and returns whether
+/// it did. `units` ends the deadline line ("task(s) complete"), `phase`
+/// names a phase with a journal of its own, and the hint names
+/// `journal`'s path and the records `writer` appended to it.
 fn report_stop(
-    status: ccmm::core::sweep::supervisor::SweepStatus,
+    status: SweepStatus,
     frontier: &ccmm::core::sweep::supervisor::Frontier,
     total: usize,
     units: &str,
     phase: Option<&str>,
     journal: &Option<(String, bool)>,
     writer: &Option<ccmm::core::ckpt::CkptWriter>,
-) -> Option<u8> {
-    use ccmm::core::sweep::supervisor::SweepStatus;
+) -> bool {
     let path = journal.as_ref().map(|(path, _)| path.as_str());
     match status {
         SweepStatus::Killed => {
@@ -314,24 +368,78 @@ fn report_stop(
                 println!("resume with --resume {path}");
             }
         }
-        SweepStatus::Complete | SweepStatus::Degraded => return None,
+        SweepStatus::Complete | SweepStatus::Degraded => return false,
     }
-    Some(exit_code(status))
+    true
 }
 
-/// The `--ckpt PATH` / `--resume PATH` pair: the journal a run writes,
-/// and whether it continues that journal rather than starting it.
-fn journal_flags(
-    ckpt: Option<String>,
-    resume: Option<String>,
-) -> Result<Option<(String, bool)>, String> {
-    match (ckpt, resume) {
-        (Some(_), Some(_)) => {
-            Err("--ckpt starts a fresh journal and --resume continues one; pass only one".into())
+/// `--trace FILE`, `--metrics FILE` and `--progress`: what a run reports
+/// about itself beside its output (see [`TelemetrySink`]).
+#[derive(Default)]
+struct TelemetryFlags {
+    trace: Option<String>,
+    metrics: Option<String>,
+    progress: bool,
+}
+
+impl TelemetryFlags {
+    /// Takes `flag` if it is one of the three (see [`Args::read`]).
+    fn read(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--trace" => self.trace = Some(args.value(flag)?),
+            "--metrics" => self.metrics = Some(args.value(flag)?),
+            "--progress" => self.progress = true,
+            _ => return Ok(false),
         }
-        (Some(path), None) => Ok(Some((path, false))),
-        (None, Some(path)) => Ok(Some((path, true))),
-        (None, None) => Ok(None),
+        Ok(true)
+    }
+}
+
+/// The flags of a supervised run (`sweep`, `stress` and `watch`): its
+/// deadline, its checkpoint journal and cadence, and its telemetry.
+struct RunFlags {
+    /// `--deadline-secs S`: the run's wall-clock budget.
+    deadline: Option<Duration>,
+    /// `--ckpt PATH` or `--resume PATH`: the journal the run writes, and
+    /// whether it continues that journal rather than starting it.
+    journal: Option<(String, bool)>,
+    /// `--ckpt-every K`: units of work between journal records.
+    ckpt_every: usize,
+    telemetry: TelemetryFlags,
+}
+
+impl RunFlags {
+    /// Reads a supervised command's arguments: `own` takes the command's
+    /// own flags as in [`Args::read`], and the run flags are read here.
+    /// `ckpt_every` is the command's default cadence.
+    fn read<'a>(
+        args: &'a [String],
+        ckpt_every: usize,
+        mut own: impl FnMut(&'a str, &mut Args<'a>) -> Result<bool, String>,
+    ) -> Result<Self, String> {
+        let mut run =
+            RunFlags { deadline: None, journal: None, ckpt_every, telemetry: Default::default() };
+        let (mut ckpt, mut resume) = (None, None);
+        Args::read(args, |flag, args| {
+            if own(flag, args)? {
+                return Ok(true);
+            }
+            match flag {
+                "--deadline-secs" => run.deadline = Some(args.seconds(flag)?),
+                "--ckpt" => ckpt = Some(args.value(flag)?),
+                "--resume" => resume = Some(args.value(flag)?),
+                "--ckpt-every" => run.ckpt_every = args.count(flag)?,
+                _ => return run.telemetry.read(flag, args),
+            }
+            Ok(true)
+        })?;
+        if ckpt.is_some() && resume.is_some() {
+            return Err(
+                "--ckpt starts a fresh journal and --resume continues one; pass only one".into()
+            );
+        }
+        run.journal = ckpt.map(|path| (path, false)).or(resume.map(|path| (path, true)));
+        Ok(run)
     }
 }
 
@@ -379,6 +487,9 @@ fn latest<T>(
     }
 }
 
+/// A closed phase's non-zero counters, in snapshot order.
+type Counters = Vec<(&'static str, u64)>;
+
 /// Glue between the `--trace`/`--metrics`/`--progress` flags and
 /// `ccmm_core::telemetry`: flips the runtime switches, collects one
 /// counter snapshot per phase, and writes the output files.
@@ -391,20 +502,17 @@ struct TelemetrySink {
     command: &'static str,
     trace: Option<String>,
     metrics: Option<String>,
-    phases: Vec<(&'static str, u128, [u64; ccmm::core::telemetry::NUM_COUNTERS])>,
+    /// `(phase, wall_ms, counters)` for every closed phase.
+    phases: Vec<(&'static str, u128, Counters)>,
 }
 
 impl TelemetrySink {
     /// Arms telemetry to match the flags. Counters and span events left
     /// over from earlier in the process are discarded so the first phase
     /// starts from zero.
-    fn new(
-        command: &'static str,
-        trace: Option<String>,
-        metrics: Option<String>,
-        progress: bool,
-    ) -> Self {
+    fn new(command: &'static str, flags: TelemetryFlags) -> Self {
         use ccmm::core::telemetry;
+        let TelemetryFlags { trace, metrics, progress } = flags;
         telemetry::set_enabled(trace.is_some() || metrics.is_some() || progress);
         telemetry::set_events(trace.is_some());
         telemetry::set_progress(progress);
@@ -415,21 +523,39 @@ impl TelemetrySink {
 
     /// Closes a phase: snapshots (and zeroes) every counter under `name`,
     /// so successive phases report disjoint counts.
-    fn end_phase(&mut self, name: &'static str, wall: std::time::Duration) {
-        self.phases.push((name, wall.as_millis(), ccmm::core::telemetry::snapshot_and_reset()));
+    fn end_phase(&mut self, name: &'static str, wall: Duration) {
+        use ccmm::core::telemetry::{snapshot_and_reset, Counter};
+        let snap = snapshot_and_reset();
+        let counters = Counter::ALL.iter().map(|c| (c.name(), snap[*c as usize]));
+        self.phases.push((name, wall.as_millis(), counters.filter(|&(_, v)| v != 0).collect()));
+    }
+
+    /// Runs one phase, closes it under `name`, and returns its value and
+    /// wall time.
+    fn timed<T>(&mut self, name: &'static str, run: impl FnOnce() -> T) -> (T, Duration) {
+        let t0 = Instant::now();
+        let value = run();
+        let wall = t0.elapsed();
+        self.end_phase(name, wall);
+        (value, wall)
+    }
+
+    /// [`Self::timed`] inside the telemetry span `span`, which is
+    /// `<command>/<phase>`; the phase takes the name after the slash.
+    fn phase<T>(&mut self, span: &'static str, run: impl FnOnce() -> T) -> (T, Duration) {
+        let name = span.rsplit_once('/').map_or(span, |(_, name)| name);
+        self.timed(name, || {
+            let _span = ccmm::core::telemetry::span(span);
+            run()
+        })
     }
 
     /// Non-zero counters of the most recently closed phase, in snapshot
     /// order — the `SweepRecord.counters` payload. Empty (so the field is
     /// omitted from bench JSON) when telemetry is off.
     fn last_counters(&self) -> Vec<(String, u64)> {
-        use ccmm::core::telemetry::Counter;
-        let Some((_, _, snap)) = self.phases.last() else { return Vec::new() };
-        Counter::ALL
-            .iter()
-            .filter(|c| snap[**c as usize] != 0)
-            .map(|c| (c.name().to_string(), snap[*c as usize]))
-            .collect()
+        let Some((_, _, counters)) = self.phases.last() else { return Vec::new() };
+        counters.iter().map(|&(name, v)| (name.to_string(), v)).collect()
     }
 
     /// Writes the metrics JSON and trace JSONL files, if requested.
@@ -438,33 +564,26 @@ impl TelemetrySink {
     /// names and span names are static identifiers, so the JSON needs no
     /// string escaping.
     fn write(&self) -> Result<(), String> {
-        use ccmm::core::telemetry::{drain_events, Counter};
+        use ccmm::core::telemetry::drain_events;
         use std::fmt::Write as _;
         if let Some(path) = &self.metrics {
-            let mut s = format!(
-                "{{\"schema\":\"ccmm-metrics-v1\",\"command\":\"{}\",\"phases\":[",
-                self.command
+            let phases: Vec<String> = self
+                .phases
+                .iter()
+                .map(|(name, wall_ms, counters)| {
+                    let counters: Vec<_> =
+                        counters.iter().map(|(c, v)| format!("\"{c}\":{v}")).collect();
+                    let counters = counters.join(",");
+                    format!(
+                        "{{\"name\":\"{name}\",\"wall_ms\":{wall_ms},\"counters\":{{{counters}}}}}"
+                    )
+                })
+                .collect();
+            let s = format!(
+                "{{\"schema\":\"ccmm-metrics-v1\",\"command\":\"{}\",\"phases\":[{}]}}\n",
+                self.command,
+                phases.join(",")
             );
-            for (i, (name, wall_ms, snap)) in self.phases.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{{\"name\":\"{name}\",\"wall_ms\":{wall_ms},\"counters\":{{");
-                let mut first = true;
-                for c in Counter::ALL {
-                    let v = snap[c as usize];
-                    if v == 0 {
-                        continue;
-                    }
-                    if !first {
-                        s.push(',');
-                    }
-                    first = false;
-                    let _ = write!(s, "\"{}\":{v}", c.name());
-                }
-                s.push_str("}}");
-            }
-            s.push_str("]}\n");
             std::fs::write(path, s).map_err(|e| format!("writing metrics {path}: {e}"))?;
         }
         if let Some(path) = &self.trace {
@@ -482,72 +601,125 @@ impl TelemetrySink {
     }
 }
 
+/// The perf gate behind `--gate`. A gated run is compared against the
+/// latest complete bench record of its experiment, engine and [`Shape`];
+/// the shape includes the thread count, because a 4-thread run gated
+/// against a 1-thread baseline would pass on scaling alone. The run fails
+/// (exit 1) when its throughput is more than 2× below the baseline's.
+struct Gate {
+    /// `(experiment, baseline)` for each gated experiment, headline
+    /// first; empty when the run is not gated.
+    baselines: Vec<(String, SweepRecord)>,
+}
+
+impl Gate {
+    /// Reads the baselines of a run (gated iff `on`) before it records
+    /// anything, so that a gated run never becomes its own baseline.
+    /// `experiments` are `(experiment, engine)` pairs. The first is the
+    /// headline: a gated run without a baseline for it must record nothing
+    /// and exit 5, and gets `None` after the error is printed. The others
+    /// are gated only when they have a baseline, so a new phase joins
+    /// without invalidating older baselines.
+    fn open(
+        on: bool,
+        bench_json: &str,
+        shape: Shape,
+        experiments: &[(&str, &str)],
+    ) -> Option<Self> {
+        if !on {
+            return Some(Gate { baselines: Vec::new() });
+        }
+        let lookup = |&(experiment, engine): &(&str, &str)| {
+            latest_matching(bench_json, experiment, engine, shape)
+                .map(|b| (experiment.to_string(), b))
+        };
+        let Some(headline) = lookup(&experiments[0]) else {
+            eprintln!("error: no baseline for this config — run without --gate to record one");
+            return None;
+        };
+        let phases = experiments[1..].iter().filter_map(lookup);
+        Some(Gate { baselines: std::iter::once(headline).chain(phases).collect() })
+    }
+
+    /// Gates a run that ended with `status` and recorded `records`, whose
+    /// throughput is counted in `unit`. Only a complete run is compared:
+    /// one line per gated experiment, headline first, and `false` at the
+    /// first one more than 2× below its baseline.
+    fn passes(&self, status: SweepStatus, unit: &str, records: &[SweepRecord]) -> bool {
+        if self.baselines.is_empty() {
+            return true;
+        }
+        if status != SweepStatus::Complete {
+            println!(
+                "gate: skipped — run was {} (only complete runs are gated)",
+                status_name(status)
+            );
+            return true;
+        }
+        for (i, (experiment, baseline)) in self.baselines.iter().enumerate() {
+            let Some(run) = records.iter().find(|r| r.experiment == *experiment) else {
+                continue;
+            };
+            let (rate, base) = (run.pairs_per_sec, baseline.pairs_per_sec);
+            let threshold = base / 2.0;
+            let (tag, subject) = match i {
+                0 => (String::new(), String::new()),
+                _ => (format!("[{experiment}]"), format!("{experiment} at ")),
+            };
+            println!(
+                "gate{tag}: {rate:.0} {unit} vs baseline {base:.0} (threshold {threshold:.0})"
+            );
+            if rate < threshold {
+                eprintln!(
+                    "perf gate FAILED: {subject}{rate:.0} {unit} is more than 2x below the \
+                     committed baseline {base:.0}"
+                );
+                return false;
+            }
+        }
+        true
+    }
+}
+
 fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
     use ccmm::core::constructible::BoundedConstructible;
     use ccmm::core::fault::FaultPlan;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
-        decode_counts_snapshot, memberships, Lane64, Scalar, Supervisor, SweepStatus,
+        decode_counts_snapshot, memberships, Lane64, Scalar, Supervisor,
     };
     use ccmm::core::sweep::SweepConfig;
     use ccmm::core::universe::Universe;
-    use ccmm::core::{ckpt, MemoryModel, Nn};
-    use ccmm_bench::report::{emit, latest_matching, SweepRecord};
-    use std::time::Instant;
+    use ccmm::core::{ckpt, Nn};
+    use ccmm_bench::report::emit;
 
     let mut bound = 4usize;
     let mut locs = 1usize;
     let mut canonical = false;
-    let mut engine_flag: Option<String> = None;
+    let mut lane = false;
     let mut gate = false;
     let mut threads: Option<usize> = None;
-    let mut deadline_secs: Option<f64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 16usize;
-    let mut resume_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--bound" => bound = take("--bound")?.parse().map_err(|_| "bad --bound")?,
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--progress" => progress = true,
-            "--locs" => locs = take("--locs")?.parse().map_err(|_| "bad --locs")?,
+    let mut fault = FaultPlan::none();
+    let run = RunFlags::read(args, 16, |flag, args| {
+        match flag {
+            "--bound" => bound = args.value(flag)?,
+            "--locs" => locs = args.value(flag)?,
             "--canonical" => canonical = true,
-            "--engine" => engine_flag = Some(take("--engine")?),
-            "--gate" => gate = true,
-            "--threads" => {
-                threads = Some(take("--threads")?.parse().map_err(|_| "bad --threads")?);
-            }
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--fault" => fault_spec = Some(take("--fault")?),
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
+            "--engine" => {
+                lane = match args.value::<String>(flag)?.as_str() {
+                    "scalar" => false,
+                    "lane64" => true,
+                    other => return Err(format!("unknown --engine `{other}` (scalar | lane64)")),
                 }
             }
-            "--resume" => resume_path = Some(take("--resume")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--gate" => gate = true,
+            "--threads" => threads = Some(args.count(flag)?),
+            "--fault" => fault = FaultPlan::from_spec(&args.value::<String>(flag)?)?,
+            _ => return Ok(false),
         }
-    }
-    let lane = match engine_flag.as_deref() {
-        None | Some("scalar") => false,
-        Some("lane64") => true,
-        Some(other) => return Err(format!("unknown --engine `{other}` (scalar | lane64)")),
-    };
+        Ok(true)
+    })?;
     if lane && !canonical {
         return Err("--engine lane64 requires --canonical (lane packs ride the symmetry-reduced \
                     task list)"
@@ -565,33 +737,27 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // constructibility phases within budget through bound 6; beyond that
     // only the lane-parallel memberships phase is.
     let memberships_only = bound > 6;
-    let journal = journal_flags(ckpt_path, resume_path)?;
-    let fault = FaultPlan::from_spec(fault_spec.as_deref().unwrap_or(""))?;
     let sup = Supervisor::with_fault(fault);
-    let mut cfg = match threads {
-        Some(t) => SweepConfig::with_threads(t),
-        None => SweepConfig::from_env(),
-    }
-    .canonical(canonical);
-    if let Some(secs) = deadline_secs {
-        cfg = cfg.deadline(std::time::Duration::from_secs_f64(secs));
-    }
+    let threads = threads.unwrap_or_else(|| SweepConfig::from_env().threads);
+    let cfg = SweepConfig { threads, canonical, deadline: run.deadline };
     let engine = match (lane, canonical) {
         (true, _) => "lane64",
         (false, true) => "canonical",
         (false, false) => "labelled",
     };
+    let fix_engine = if lane { "lane64" } else { "worklist" };
     let u = Universe::new(bound, locs);
 
-    // Gate precondition checked up front: a gated run that has nothing to
-    // compare against must not silently record itself as the baseline.
-    // Matching is same-engine AND same-thread-count: gating a 4-thread
-    // run against a 1-thread baseline would pass on scaling alone.
-    let baseline = latest_matching(bench_json, "cli_sweep/memberships", engine, &u, cfg.threads);
-    if gate && baseline.is_none() {
-        eprintln!("error: no baseline for this config — run without --gate to record one");
+    // Memberships is the headline gate; the fixpoint and constructibility
+    // phases are gated against their own baselines when they have one.
+    let gated = [
+        ("cli_sweep/memberships", engine),
+        ("cli_sweep/nnstar_worklist", fix_engine),
+        ("cli_sweep/constructibility", engine),
+    ];
+    let Some(gate) = Gate::open(gate, bench_json, Shape::of(&u, threads), &gated) else {
         return Ok(exit::NO_BASELINE);
-    }
+    };
 
     // Checkpoint journal: `--ckpt` starts one, `--resume` validates an
     // existing journal's fingerprint and continues from its last
@@ -601,23 +767,51 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     let fingerprint =
         format!("ccmm-sweep-v2 bound={bound} locs={locs} canonical={canonical} engine={engine}");
     let decode = latest(decode_counts_snapshot);
-    let (mut writer, resume_state) = open_journal("checkpoint", &journal, &fingerprint, decode)?;
-    if let (Some((path, _)), Some((f, _))) = (&journal, &resume_state) {
+    let (mut writer, resume_state) =
+        open_journal("checkpoint", &run.journal, &fingerprint, decode)?;
+    if let (Some((path, _)), Some((f, _))) = (&run.journal, &resume_state) {
         println!("resuming from {path}: {} task(s) already complete", f.len());
     }
-    let record = |records: &[SweepRecord]| -> Result<(), String> {
+    let save = |records: &[SweepRecord]| -> Result<(), String> {
         emit(bench_json, records).map_err(|e| format!("writing bench json: {e}"))?;
         println!("recorded {} sweep record(s) to {bench_json}", records.len());
         Ok(())
     };
+    // A run killed or out of deadline stops where it is: the later phases
+    // would blow the budget the caller just set. A partial run still
+    // records the phases it finished.
+    let stopped = |status: SweepStatus, records: &[SweepRecord], tel: &TelemetrySink| {
+        if status == SweepStatus::Partial {
+            save(records)?;
+            // A partial run always passes: this only prints the skipped line.
+            gate.passes(status, "pairs/sec", records);
+        }
+        tel.write()?;
+        Ok(exit_code(status))
+    };
+    // The end of every other sweep: record the run, gate it and print its
+    // status.
+    let finish = |records: &[SweepRecord], worst: SweepStatus| {
+        save(records)?;
+        if !gate.passes(worst, "pairs/sec", records) {
+            return Ok(exit::FAIL);
+        }
+        println!("sweep status: {}", status_name(worst));
+        Ok(exit_code(worst))
+    };
 
-    let mut tel = TelemetrySink::new("sweep", trace_path, metrics_path, progress);
+    // Each phase's bench record: its wall time and work over the universe.
+    let record = |experiment: &str, engine: &str, wall, pairs, passes, status| {
+        SweepRecord::new(experiment, engine, &u, threads, wall, pairs, passes)
+            .with_status(status_name(status))
+    };
+
+    let mut tel = TelemetrySink::new("sweep", run.telemetry);
     println!(
         "sweep: bound {bound}, {locs} location(s), {} computations, {engine} enumeration, {} thread(s)",
         u.count_computations_closed(),
         cfg.threads
     );
-    let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
     let mut records = Vec::new();
     let mut worst = SweepStatus::Complete;
 
@@ -626,23 +820,19 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // total is the labelled universe's pair count regardless of
     // enumeration mode, so pairs/sec is comparable across engines — the
     // number the perf gate watches. This is the checkpointable phase.
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/memberships");
-    let sink = writer.as_mut().map(|w| (w, ckpt_every));
-    let out = if lane {
-        memberships(Lane64, &models, &u, &cfg, &sup, resume_state, sink)
-    } else {
-        memberships(Scalar, &models, &u, &cfg, &sup, resume_state, sink)
-    };
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("memberships", wall);
+    let sink = writer.as_mut().map(|w| (w, run.ckpt_every));
+    let (out, wall) = tel.phase("sweep/memberships", || {
+        if lane {
+            memberships(Lane64, &MODELS, &u, &cfg, &sup, resume_state, sink)
+        } else {
+            memberships(Scalar, &MODELS, &u, &cfg, &sup, resume_state, sink)
+        }
+    });
     if let Some(e) = &out.ckpt_error {
         eprintln!("warning: checkpoint journalling failed mid-sweep: {e}");
     }
     report_quarantine("memberships", &out.quarantined);
     worst = worst.max(out.status);
-    let mut throughput = 0.0;
     if out.status != SweepStatus::Killed {
         println!(
             "memberships over {} (computation, observer) pairs [{:.2?}] ({}):",
@@ -650,103 +840,17 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
             wall,
             status_name(out.status)
         );
-        for (m, n) in models.iter().zip(&out.value.per_model) {
+        for (m, n) in MODELS.iter().zip(&out.value.per_model) {
             println!("  {:<4} {n}", m.name());
         }
-        let membership = SweepRecord::new(
-            "cli_sweep/memberships",
-            engine,
-            &u,
-            cfg.threads,
-            wall,
-            out.value.pairs,
-            0,
-        )
-        .with_status(status_name(out.status))
-        .with_counters(tel.last_counters());
-        throughput = membership.pairs_per_sec;
-        records.push(membership);
+        let pairs = out.value.pairs;
+        let membership = record("cli_sweep/memberships", engine, wall, pairs, 0, out.status);
+        records.push(membership.with_counters(tel.last_counters()));
     }
-    // Killed, or out of deadline: report the exact resume frontier and
-    // stop — the later phases would blow the budget the caller just set.
-    let stop = report_stop(
-        out.status,
-        &out.frontier,
-        out.total_tasks,
-        "task(s) complete",
-        None,
-        &journal,
-        &writer,
-    );
-    if let Some(code) = stop {
-        if code == exit::PARTIAL {
-            record(&records)?;
-        }
-        tel.write()?;
-        return Ok(code);
+    let (total, units) = (out.total_tasks, "task(s) complete");
+    if report_stop(out.status, &out.frontier, total, units, None, &run.journal, &writer) {
+        return stopped(out.status, &records, &tel);
     }
-
-    // The end of every sweep: record the run, gate it (complete runs
-    // only) against the memberships baseline and against each phase's
-    // own same-engine, same-thread-count baseline when one exists (only
-    // the memberships baseline is a gate precondition, so new phases
-    // phase in without invalidating older baselines), and print its
-    // status. Phase baselines are read before this run's records are
-    // emitted — emitting first would make every gated run its own
-    // baseline.
-    let finish = |records: &[SweepRecord], worst: SweepStatus, phases: &[(&'static str, &str)]| {
-        let phase_baselines: Vec<_> = phases
-            .iter()
-            .map(|&(experiment, phase_engine)| {
-                (experiment, latest_matching(bench_json, experiment, phase_engine, &u, cfg.threads))
-            })
-            .collect();
-        record(records)?;
-        if gate && worst == SweepStatus::Complete {
-            // `baseline` was verified Some before the sweep started.
-            let b = baseline.as_ref().expect("gate precondition checked above");
-            println!(
-                "gate: {throughput:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-                b.pairs_per_sec,
-                b.pairs_per_sec / 2.0
-            );
-            if throughput < b.pairs_per_sec / 2.0 {
-                eprintln!(
-                    "perf gate FAILED: {throughput:.0} pairs/sec is more than 2x below \
-                     the committed baseline {:.0}",
-                    b.pairs_per_sec
-                );
-                return Ok(exit::FAIL);
-            }
-            for (experiment, b) in phase_baselines {
-                let Some(rec) = records.iter().find(|r| r.experiment == experiment) else {
-                    continue;
-                };
-                let Some(b) = b else { continue };
-                println!(
-                    "gate[{experiment}]: {:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-                    rec.pairs_per_sec,
-                    b.pairs_per_sec,
-                    b.pairs_per_sec / 2.0
-                );
-                if rec.pairs_per_sec < b.pairs_per_sec / 2.0 {
-                    eprintln!(
-                        "perf gate FAILED: {experiment} at {:.0} pairs/sec is more than 2x \
-                         below the committed baseline {:.0}",
-                        rec.pairs_per_sec, b.pairs_per_sec
-                    );
-                    return Ok(exit::FAIL);
-                }
-            }
-        } else if gate {
-            println!(
-                "gate: skipped — run was {} (only complete runs are gated)",
-                status_name(worst)
-            );
-        }
-        println!("sweep status: {}", status_name(worst));
-        Ok(exit_code(worst))
-    };
 
     if memberships_only {
         println!(
@@ -754,38 +858,19 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
              constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
         );
         tel.write()?;
-        return finish(&records, worst, &[]);
+        return finish(&records, worst);
     }
 
     // Phase 2: the full pairwise relation lattice (Figure 1 at this
     // bound), read off the separation mask phase 1 folded — no second
     // sweep. It covers exactly the pairs the counts cover, so tasks
     // quarantined in phase 1 degrade it too.
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/lattice");
-    let lattice = out.value.lattice(&models);
+    let (lattice, wall) = tel.phase("sweep/lattice", || out.value.lattice(&MODELS));
     let lattice_status = SweepStatus::of(false, false, !out.quarantined.is_empty());
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("lattice", wall);
     worst = worst.max(lattice_status);
     println!("lattice [{:.2?}] ({}):", wall, status_name(lattice_status));
-    print!("{:<6}", "");
-    for m in &models {
-        print!("{:>4}", m.name());
-    }
-    println!();
-    for row in &lattice {
-        print!("  {:<4}", row.name);
-        for r in &row.relations {
-            print!("{:>4}", r.to_string());
-        }
-        println!();
-    }
-    records.push(
-        SweepRecord::new("cli_sweep/lattice", engine, &u, cfg.threads, wall, 0, 0)
-            .with_status(status_name(lattice_status)),
-    );
+    print_lattice("  ", &lattice);
+    records.push(record("cli_sweep/lattice", engine, wall, 0, 0, lattice_status));
 
     // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
     // necessity — survivor sets are keyed by concrete computations), then
@@ -794,12 +879,10 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     // (`<path>.fixpoint`) beside the memberships journal: the fingerprint
     // is engine-free because the mask bits are identical either way, so a
     // fixpoint journal written under one kernel resumes under the other.
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
-    let fix_engine = if lane { "lane64" } else { "worklist" };
-    let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
+    let nn = Nn::default();
+    let (pairs, deleted, passes, fix_status, wall) = if lane {
         let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
-        let fix_journal = journal.as_ref().map(|(base, resuming)| {
+        let fix_journal = run.journal.as_ref().map(|(base, resuming)| {
             let path = format!("{base}.fixpoint");
             let resuming = *resuming && std::path::Path::new(&path).exists();
             (path, resuming)
@@ -810,150 +893,93 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
         if let (Some((path, _)), Some((f, _))) = (&fix_journal, &fix_resume) {
             println!("resuming fixpoint from {path}: {} task(s) already complete", f.len());
         }
-        let out = LaneConstructible::compute_supervised(
-            &Nn::default(),
-            &u,
-            &cfg,
-            &sup,
-            fix_resume,
-            fix_writer.as_mut().map(|w| (w, ckpt_every)),
-            true,
-        );
-        drop(phase_span);
-        let wall = t0.elapsed();
-        tel.end_phase("fixpoint", wall);
+        let sink = fix_writer.as_mut().map(|w| (w, run.ckpt_every));
+        let (out, wall) = tel.phase("sweep/fixpoint", || {
+            LaneConstructible::compute_supervised(&nn, &u, &cfg, &sup, fix_resume, sink, true)
+        });
         if let Some(e) = &out.ckpt_error {
             eprintln!("warning: fixpoint checkpoint journalling failed mid-sweep: {e}");
         }
         report_quarantine("fixpoint", &out.quarantined);
-        let stop = report_stop(
-            out.status,
-            &out.frontier,
-            out.total_tasks,
-            "task(s) complete",
-            Some("fixpoint"),
-            &journal,
-            &fix_writer,
-        );
-        if let Some(code) = stop {
-            if code == exit::PARTIAL {
-                record(&records)?;
-            }
-            tel.write()?;
-            return Ok(code);
+        let (total, phase) = (out.total_tasks, Some("fixpoint"));
+        if report_stop(out.status, &out.frontier, total, units, phase, &run.journal, &fix_writer) {
+            return stopped(out.status, &records, &tel);
         }
-        (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
+        (out.value.total_pairs() as u64, out.value.deleted, out.value.passes, out.status, wall)
     } else {
-        let fix =
-            BoundedConstructible::compute_worklist_supervised(&Nn::default(), &u, &cfg, &sup.fault);
-        drop(phase_span);
-        let wall = t0.elapsed();
-        tel.end_phase("fixpoint", wall);
+        let (fix, wall) = tel.phase("sweep/fixpoint", || {
+            BoundedConstructible::compute_worklist_supervised(&nn, &u, &cfg, &sup.fault)
+        });
         report_quarantine("fixpoint", &fix.quarantined);
         let fix_status = SweepStatus::of(false, false, !fix.quarantined.is_empty());
-        (fix.total_pairs(), fix.deleted, fix.passes, fix_status)
+        (fix.total_pairs() as u64, fix.deleted, fix.passes, fix_status, wall)
     };
-    let wall = t0.elapsed();
     worst = worst.max(fix_status);
     println!(
         "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
         fix_engine,
-        fix_pairs,
-        fix_deleted,
-        fix_passes,
+        pairs,
+        deleted,
+        passes,
         wall,
         status_name(fix_status)
     );
-    records.push(
-        SweepRecord::new(
-            "cli_sweep/nnstar_worklist",
-            fix_engine,
-            &u,
-            cfg.threads,
-            wall,
-            fix_pairs as u64,
-            fix_passes,
-        )
-        .with_status(status_name(fix_status)),
-    );
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/constructibility");
-    let mut cons_status = SweepStatus::Complete;
-    for m in &models {
-        let check = if lane {
-            check_constructible_aug_lanes_supervised(m, &u, &cfg, &sup)
-        } else {
-            check_constructible_aug_supervised(m, &u, &cfg, &sup)
-        };
-        report_quarantine("constructibility", &check.quarantined);
-        cons_status = cons_status.max(check.status);
-        worst = worst.max(check.status);
-        match check.value {
-            None => println!("  {:<4} constructible up to bound {bound}", m.name()),
-            Some(w) => println!(
-                "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
-                m.name(),
-                w.c.node_count(),
-                w.op
-            ),
+    records.push(record("cli_sweep/nnstar_worklist", fix_engine, wall, pairs, passes, fix_status));
+    let (cons_status, wall) = tel.phase("sweep/constructibility", || {
+        let mut status = SweepStatus::Complete;
+        for m in &MODELS {
+            let check = if lane {
+                check_constructible_aug_lanes_supervised(m, &u, &cfg, &sup)
+            } else {
+                check_constructible_aug_supervised(m, &u, &cfg, &sup)
+            };
+            report_quarantine("constructibility", &check.quarantined);
+            status = status.max(check.status);
+            match check.value {
+                None => println!("  {:<4} constructible up to bound {bound}", m.name()),
+                Some(w) => println!(
+                    "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
+                    m.name(),
+                    w.c.node_count(),
+                    w.op
+                ),
+            }
         }
-    }
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("constructibility", wall);
+        status
+    });
+    worst = worst.max(cons_status);
     println!("constructibility checks [{wall:.2?}]");
     // The constructibility record's work unit is the fixed bounded-prefix
     // scan size (computations at bound − 1 times models checked), so its
     // pairs/sec is comparable across engines at the same config.
     let cons_work = Universe::new(bound.saturating_sub(1), locs).count_computations_closed() as u64
-        * models.len() as u64;
-    records.push(
-        SweepRecord::new("cli_sweep/constructibility", engine, &u, cfg.threads, wall, cons_work, 0)
-            .with_status(status_name(cons_status)),
-    );
+        * MODELS.len() as u64;
+    records.push(record("cli_sweep/constructibility", engine, wall, cons_work, 0, cons_status));
     tel.write()?;
-    let phases =
-        [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)];
-    finish(&records, worst, &phases)
+    finish(&records, worst)
 }
 
 fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     use ccmm::conformance::{report, run, self_test, HarnessConfig};
-    use ccmm::core::sweep::SweepConfig;
     let mut cfg = HarnessConfig::default();
     let mut out: Option<String> = None;
     let mut do_self_test = false;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--nodes" => cfg.max_nodes = take("--nodes")?.parse().map_err(|_| "bad --nodes")?,
-            "--locs" => {
-                cfg.num_locations = take("--locs")?.parse().map_err(|_| "bad --locs")?;
-            }
-            "--random" => {
-                cfg.random_cases = take("--random")?.parse().map_err(|_| "bad --random")?;
-            }
-            "--seed" => cfg.seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
+    let mut telemetry = TelemetryFlags::default();
+    Args::read(args, |flag, args| {
+        match flag {
+            "--nodes" => cfg.max_nodes = args.value(flag)?,
+            "--locs" => cfg.num_locations = args.value(flag)?,
+            "--random" => cfg.random_cases = args.value(flag)?,
+            "--seed" => cfg.seed = args.value(flag)?,
             "--no-harvest" => cfg.harvest = false,
-            "--threads" => {
-                let t: usize = take("--threads")?.parse().map_err(|_| "bad --threads")?;
-                cfg.sweep = SweepConfig::with_threads(t);
-            }
-            "--out" => out = Some(take("--out")?),
+            "--threads" => cfg.sweep.threads = args.count(flag)?,
+            "--out" => out = Some(args.value(flag)?),
             "--self-test" => do_self_test = true,
-            "--canonical" => cfg.sweep = cfg.sweep.canonical(true),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--progress" => progress = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            "--canonical" => cfg.sweep.canonical = true,
+            _ => return telemetry.read(flag, args),
         }
-    }
+        Ok(true)
+    })?;
     if cfg.max_nodes > 5 {
         return Err("--nodes > 5 is too slow for the CLI (factorial oracles)".into());
     }
@@ -962,7 +988,7 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
         // factorial oracles; only the symmetry-reduced enumeration keeps
         // it CLI-tolerable. The report below prints the pair/check counts
         // actually run (canonical representatives, not weighted totals).
-        cfg.sweep = cfg.sweep.canonical(true);
+        cfg.sweep.canonical = true;
         println!(
             "note: nodes >= 5 sweeps canonical representatives only \
              (one per isomorphism class; checker-vs-oracle verdicts are \
@@ -975,26 +1001,19 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
         println!("self-test: seeded LC mutation caught and shrunk — harness is live");
     }
     // Armed after the self-test so its checks don't pollute the report.
-    let mut tel = TelemetrySink::new("conformance", trace_path, metrics_path, progress);
-    let t0 = std::time::Instant::now();
-    let r = run(&cfg);
-    tel.end_phase("conformance", t0.elapsed());
+    let mut tel = TelemetrySink::new("conformance", telemetry);
+    let (r, _) = tel.timed("conformance", || run(&cfg));
     // The lane differential rides the same config: contains_lanes must
     // agree with 64× contains_with over the exhaustive sweep plus random
     // partial packings.
-    let t1 = std::time::Instant::now();
-    let lanes = ccmm::conformance::run_lanes(&cfg);
-    tel.end_phase("lane-differential", t1.elapsed());
+    let (lanes, _) = tel.timed("lane-differential", || ccmm::conformance::run_lanes(&cfg));
     // The fixpoint differential pins the lane Δ* engine (survivor masks,
     // both Stage-A kernels) to the scalar worklist, and the lane
     // constructibility search to the scalar scan one bound up.
-    let t2 = std::time::Instant::now();
-    let fix = ccmm::conformance::run_fixpoint(&cfg);
-    tel.end_phase("fixpoint-differential", t2.elapsed());
+    let (fix, _) = tel.timed("fixpoint-differential", || ccmm::conformance::run_fixpoint(&cfg));
     // The serve differential drives the same pair sources through the
     // full wire pipeline (frame → parse → cached handler → reply) and
     // compares every verdict line against a direct check.
-    let t3 = std::time::Instant::now();
     let srv_cfg = ccmm::conformance::ServeHarnessConfig {
         max_nodes: cfg.max_nodes.min(3),
         num_locations: cfg.num_locations,
@@ -1002,8 +1021,7 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
         seed: cfg.seed,
         ..Default::default()
     };
-    let srv = ccmm::conformance::run_serve(&srv_cfg);
-    tel.end_phase("serve-differential", t3.elapsed());
+    let (srv, _) = tel.timed("serve-differential", || ccmm::conformance::run_serve(&srv_cfg));
     tel.write()?;
     println!("{r}");
     println!(
@@ -1048,59 +1066,29 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
 
 fn cmd_stress(args: &[String]) -> Result<u8, String> {
     use ccmm::core::fault::{FaultPlan, PerturbPlan};
-    use ccmm::core::parse::{render_computation, render_observer};
+    use ccmm::core::parse::render_computation;
     use ccmm::stress::{self, Mutation, StressConfig};
-    use std::time::Instant;
 
     let mut seed = 0u64;
     let mut iters = 1000usize;
     let mut threads = 4usize;
-    let mut perturb_spec: Option<String> = None;
+    let mut perturb: Option<PerturbPlan> = None;
     let mut mutation = Mutation::None;
-    let mut deadline_secs: Option<f64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 32usize;
-    let mut resume_path: Option<String> = None;
+    let mut fault = FaultPlan::none();
     let mut do_self_test = false;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seed" => seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--iters" => iters = take("--iters")?.parse().map_err(|_| "bad --iters")?,
-            "--threads" => threads = take("--threads")?.parse().map_err(|_| "bad --threads")?,
-            "--perturb" => perturb_spec = Some(take("--perturb")?),
-            "--mutate" => mutation = Mutation::from_name(&take("--mutate")?)?,
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--fault" => fault_spec = Some(take("--fault")?),
+    let run = RunFlags::read(args, 32, |flag, args| {
+        match flag {
+            "--seed" => seed = args.value(flag)?,
+            "--iters" => iters = args.value(flag)?,
+            "--threads" => threads = args.count(flag)?,
+            "--perturb" => perturb = Some(PerturbPlan::from_spec(&args.value::<String>(flag)?)?),
+            "--mutate" => mutation = Mutation::from_name(&args.value::<String>(flag)?)?,
+            "--fault" => fault = FaultPlan::from_spec(&args.value::<String>(flag)?)?,
             "--self-test" => do_self_test = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
-                }
-            }
-            "--resume" => resume_path = Some(take("--resume")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-    }
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    let journal = journal_flags(ckpt_path, resume_path)?;
+        Ok(true)
+    })?;
 
     if do_self_test {
         // Prove the oracle has teeth before trusting a green run: a
@@ -1117,39 +1105,29 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         }
     }
 
-    let mut cfg = StressConfig::new(seed, iters, threads);
-    if let Some(spec) = &perturb_spec {
-        cfg.perturb = PerturbPlan::from_spec(spec)?;
-    }
-    cfg.mutation = mutation;
-    if let Some(secs) = deadline_secs {
-        cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-    let fault = FaultPlan::from_spec(fault_spec.as_deref().unwrap_or(""))?;
+    let base = StressConfig::new(seed, iters, threads);
+    let perturb = perturb.unwrap_or(base.perturb);
+    let cfg = StressConfig { perturb, mutation, deadline: run.deadline, ..base };
 
     // Checkpoint journal: same scheme as `ccmm sweep` — the fingerprint
     // pins (seed, iters, threads, perturb shape, mutation) so a journal
     // cannot resume into a different run.
     let decode = latest(stress::decode_snapshot);
     let (mut writer, resume_state) =
-        open_journal("checkpoint", &journal, &cfg.fingerprint(), decode)?;
-    if let (Some((path, _)), Some((f, _))) = (&journal, &resume_state) {
+        open_journal("checkpoint", &run.journal, &cfg.fingerprint(), decode)?;
+    if let (Some((path, _)), Some((f, _))) = (&run.journal, &resume_state) {
         println!("resuming from {path}: {} iteration(s) already complete", f.len());
     }
 
-    let mut tel = TelemetrySink::new("stress", trace_path, metrics_path, progress);
+    let mut tel = TelemetrySink::new("stress", run.telemetry);
     println!(
         "stress: seed {seed}, {iters} iteration(s), {threads} thread(s), perturb {}, mutation {}",
         cfg.perturb,
         cfg.mutation.name()
     );
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("stress/iterations");
-    let sink = writer.as_mut().map(|w| (w, ckpt_every));
-    let report = stress::run_supervised(&cfg, &fault, resume_state, sink);
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("iterations", wall);
+    let sink = writer.as_mut().map(|w| (w, run.ckpt_every));
+    let (report, wall) =
+        tel.phase("stress/iterations", || stress::run_supervised(&cfg, &fault, resume_state, sink));
     tel.write()?;
 
     if let Some(e) = &report.ckpt_error {
@@ -1194,144 +1172,69 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         print!("{}", render_observer(&f.phi));
         return Ok(exit::FAIL);
     }
-    let stop = report_stop(
-        report.status,
-        &report.frontier,
-        report.total_tasks,
-        "iteration(s) complete",
-        None,
-        &journal,
-        &writer,
-    );
-    Ok(stop.unwrap_or_else(|| exit_code(report.status)))
+    let (total, units) = (report.total_tasks, "iteration(s) complete");
+    report_stop(report.status, &report.frontier, total, units, None, &run.journal, &writer);
+    Ok(exit_code(report.status))
 }
 
 fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
-    use ccmm::backer::FaultInjection;
     use ccmm::core::fault::FaultPlan;
-    use ccmm::core::sweep::supervisor::{Cadence, SweepStatus};
+    use ccmm::core::sweep::supervisor::Cadence;
+    use ccmm::stress::Mutation;
     use ccmm::watch::{self, WatchConfig};
-    use ccmm_bench::report::{emit, latest_matching_shape, SweepRecord};
-    use std::time::Instant;
+    use ccmm_bench::report::emit;
 
-    let mut workload = "fib:14".to_string();
-    let mut procs = 4usize;
-    let mut cache_lines = 16usize;
-    let mut block = 16usize;
-    let mut faults = FaultInjection::NONE;
-    let mut deadline_secs: Option<f64> = None;
-    let mut sample_every = 8usize;
-    let mut sample_cap = 24usize;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 65_536usize;
-    let mut resume_path: Option<String> = None;
+    let mut cfg = WatchConfig::new("fib:14");
     let mut gate = false;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--workload" => workload = take("--workload")?,
-            "--procs" => procs = take("--procs")?.parse().map_err(|_| "bad --procs")?,
-            "--cache" => cache_lines = take("--cache")?.parse().map_err(|_| "bad --cache")?,
-            "--block" => block = take("--block")?.parse().map_err(|_| "bad --block")?,
-            "--fault" => {
-                faults = match take("--fault")?.as_str() {
-                    "none" => FaultInjection::NONE,
-                    "skip-flush" => FaultInjection { skip_flush: true, skip_reconcile: false },
-                    "skip-reconcile" => FaultInjection { skip_flush: false, skip_reconcile: true },
-                    other => {
-                        return Err(format!(
-                            "unknown fault `{other}` (none | skip-flush | skip-reconcile)"
-                        ))
-                    }
-                }
-            }
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--sample-every" => {
-                sample_every = take("--sample-every")?.parse().map_err(|_| "bad --sample-every")?;
-            }
-            "--sample-cap" => {
-                sample_cap = take("--sample-cap")?.parse().map_err(|_| "bad --sample-cap")?;
-            }
+    let run = RunFlags::read(args, 65_536, |flag, args| {
+        match flag {
+            "--workload" => cfg.workload = args.value(flag)?,
+            "--procs" => cfg.procs = args.count(flag)?,
+            "--cache" => cfg.cache_lines = args.value(flag)?,
+            "--block" => cfg.block = args.value(flag)?,
+            "--fault" => cfg.faults = Mutation::from_name(&args.value::<String>(flag)?)?.faults(),
+            "--sample-every" => cfg.sample_every = args.value(flag)?,
+            "--sample-cap" => cfg.sample_cap = args.value(flag)?,
             "--gate" => gate = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
-                }
-            }
-            "--resume" => resume_path = Some(take("--resume")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-    }
-    if procs == 0 {
-        return Err("--procs must be at least 1".into());
-    }
-    let journal = journal_flags(ckpt_path, resume_path)?;
+        Ok(true)
+    })?;
+    cfg.deadline = run.deadline;
+    let trace = watch::parse_trace_workload(&cfg.workload)?;
 
-    let trace = watch::parse_trace_workload(&workload)?;
-    let mut cfg = WatchConfig::new(&workload);
-    cfg.procs = procs;
-    cfg.cache_lines = cache_lines;
-    cfg.block = block;
-    cfg.faults = faults;
-    cfg.sample_every = sample_every;
-    cfg.sample_cap = sample_cap;
-    if let Some(secs) = deadline_secs {
-        cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-
-    // Gate precondition up front, as in `sweep`: a gated run with no
-    // baseline must not silently record itself as one.
+    // Gate precondition up front, as in `sweep`. A watch workload is one
+    // trace: its shape is the trace's node and location counts.
     let total = trace.node_count();
-    let baseline = latest_matching_shape(
-        bench_json,
-        &format!("watch/{workload}"),
-        "stream",
-        total as u64,
-        trace.num_locations as u64,
-        procs as u64,
-    );
-    if gate && baseline.is_none() {
-        eprintln!("error: no baseline for this config — run without --gate to record one");
+    let experiment = format!("watch/{}", cfg.workload);
+    let shape = Shape {
+        max_nodes: total as u64,
+        num_locations: trace.num_locations as u64,
+        threads: cfg.procs as u64,
+    };
+    let Some(gate) = Gate::open(gate, bench_json, shape, &[(&experiment, "stream")]) else {
         return Ok(exit::NO_BASELINE);
-    }
+    };
 
     // Checkpoint journal: the fingerprint pins everything that makes the
     // replay-based resume deterministic.
     let decode = latest(watch::decode_snapshot);
     let (mut writer, resume_state) =
-        open_journal("checkpoint", &journal, &cfg.fingerprint(), decode)?;
-    if let (Some((path, _)), Some(snapshot)) = (&journal, &resume_state) {
+        open_journal("checkpoint", &run.journal, &cfg.fingerprint(), decode)?;
+    if let (Some((path, _)), Some(snapshot)) = (&run.journal, &resume_state) {
         println!("resuming from {path}: {} node(s) already committed", snapshot.position);
     }
 
-    let mut tel = TelemetrySink::new("watch", trace_path, metrics_path, progress);
+    let mut tel = TelemetrySink::new("watch", run.telemetry);
     println!(
-        "watch: {workload} ({total} node(s), {} location(s)), {procs} proc(s), \
-         {cache_lines}-line caches, block {block}",
-        trace.num_locations
+        "watch: {} ({total} node(s), {} location(s)), {} proc(s), {}-line caches, block {}",
+        cfg.workload, trace.num_locations, cfg.procs, cfg.cache_lines, cfg.block
     );
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("watch/stream");
     let no_faults = FaultPlan::none();
-    let cadence = writer.as_mut().map(|w| Cadence::new(w, ckpt_every, &no_faults));
-    let report = watch::run_supervised(&cfg, &trace, resume_state, cadence)?;
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("stream", wall);
+    let cadence = writer.as_mut().map(|w| Cadence::new(w, run.ckpt_every, &no_faults));
+    let (report, _) =
+        tel.phase("watch/stream", || watch::run_supervised(&cfg, &trace, resume_state, cadence));
+    let report = report?;
     tel.write()?;
 
     if let Some(e) = &report.ckpt_error {
@@ -1373,62 +1276,30 @@ fn cmd_watch(args: &[String], bench_json: &str) -> Result<u8, String> {
 
     // Every run leaves a record (tagged with its status) so complete
     // runs become baselines; only complete runs are gated.
-    let record = SweepRecord {
-        experiment: format!("watch/{workload}"),
-        engine: "stream".to_string(),
-        max_nodes: total as u64,
-        num_locations: trace.num_locations as u64,
-        universe_computations: 0,
-        threads: procs as u64,
-        wall_ms: report.wall.as_secs_f64() * 1e3,
-        pairs_checked: report.fresh_reveals,
-        pairs_per_sec: report.reveals_per_sec,
-        fixpoint_passes: report.samples,
-        status: status_name(report.status).to_string(),
-        counters: tel.last_counters(),
-    };
-    emit(bench_json, &[record]).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("bench: appended watch/{workload} [stream] to {bench_json}");
+    let records = [SweepRecord::of_shape(
+        &experiment,
+        "stream",
+        shape,
+        report.wall,
+        report.fresh_reveals,
+        report.samples,
+    )
+    .with_status(status_name(report.status))
+    .with_counters(tel.last_counters())];
+    emit(bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+    println!("bench: appended {experiment} [stream] to {bench_json}");
 
-    let stop = report_stop(
-        report.status,
-        &report.frontier,
-        total,
-        "node(s) committed",
-        None,
-        &journal,
-        &writer,
-    );
-    if let Some(code) = stop {
-        return Ok(code);
-    }
-    if !report.passed() && report.status == SweepStatus::Complete {
+    let units = "node(s) committed";
+    report_stop(report.status, &report.frontier, total, units, None, &run.journal, &writer);
+    if report.status == SweepStatus::Complete && !report.passed() {
         println!(
             "verdict check FAILED: valid={} lc={} divergences={}",
             v.valid, v.lc, report.divergences
         );
         return Ok(exit::FAIL);
     }
-    if gate && report.status == SweepStatus::Complete {
-        let b = baseline.expect("gate precondition checked above");
-        println!(
-            "gate: {:.0} reveals/sec vs baseline {:.0} (threshold {:.0})",
-            report.reveals_per_sec,
-            b.pairs_per_sec,
-            b.pairs_per_sec / 2.0
-        );
-        if report.reveals_per_sec < b.pairs_per_sec / 2.0 {
-            println!(
-                "perf gate FAILED: {:.0} reveals/sec is more than 2x below the baseline",
-                report.reveals_per_sec
-            );
-            return Ok(exit::FAIL);
-        }
-    } else if gate {
-        println!(
-            "gate: skipped — run was {} (only complete runs are gated)",
-            status_name(report.status)
-        );
+    if !gate.passes(report.status, "reveals/sec", &records) {
+        return Ok(exit::FAIL);
     }
     Ok(exit_code(report.status))
 }
@@ -1504,46 +1375,30 @@ fn serve_self_test() -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<u8, String> {
     use ccmm::core::fault::ServeFaultPlan;
     use ccmm::serve::{spawn, ServeConfig};
-    use std::time::Instant;
 
     let mut cfg = ServeConfig::default();
-    let mut metrics_path: Option<String> = None;
+    let mut telemetry = TelemetryFlags::default();
     let mut self_test = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => cfg.addr = take("--addr")?,
-            "--max-inflight" => {
-                cfg.max_inflight =
-                    take("--max-inflight")?.parse().map_err(|_| "bad --max-inflight")?;
-            }
-            "--retry-after-ms" => {
-                cfg.retry_after_ms =
-                    take("--retry-after-ms")?.parse().map_err(|_| "bad --retry-after-ms")?;
-            }
-            "--deadline-ms" => {
-                cfg.deadline_ms =
-                    Some(take("--deadline-ms")?.parse().map_err(|_| "bad --deadline-ms")?);
-            }
-            "--cache-capacity" => {
-                cfg.cache_capacity =
-                    take("--cache-capacity")?.parse().map_err(|_| "bad --cache-capacity")?;
-            }
-            "--fault" => cfg.fault = ServeFaultPlan::from_spec(&take("--fault")?)?,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
+    Args::read(args, |flag, args| {
+        match flag {
+            "--addr" => cfg.addr = args.value(flag)?,
+            "--max-inflight" => cfg.max_inflight = args.value(flag)?,
+            "--retry-after-ms" => cfg.retry_after_ms = args.value(flag)?,
+            "--deadline-ms" => cfg.deadline_ms = Some(args.value(flag)?),
+            "--cache-capacity" => cfg.cache_capacity = args.value(flag)?,
+            "--fault" => cfg.fault = ServeFaultPlan::from_spec(&args.value::<String>(flag)?)?,
+            "--metrics" => telemetry.metrics = Some(args.value(flag)?),
             "--self-test" => self_test = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if self_test {
         serve_self_test()?;
         return Ok(exit::COMPLETE);
     }
 
-    let mut tel = TelemetrySink::new("serve", None, metrics_path, false);
+    let mut tel = TelemetrySink::new("serve", telemetry);
     let t0 = Instant::now();
     if !cfg.fault.is_empty() {
         println!("fault plan: {} (seed {})", cfg.fault, cfg.fault.seed());
@@ -1604,45 +1459,38 @@ fn cmd_query(args: &[String]) -> Result<u8, String> {
     use ccmm::core::serve::{render_request, verdict_line, Reply, Request, Verb};
 
     let mut addr: Option<String> = None;
-    let mut verb: Option<String> = None;
+    let mut verb: Option<&str> = None;
     let mut model: Option<Model> = None;
     let mut litmus_name: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut timeout_ms = 2_000u64;
     let mut retries = 5u32;
     let mut seed = 0u64;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => addr = Some(take("--addr")?),
-            "--ping" => verb = Some("ping".into()),
-            "--models" => verb = Some("models".into()),
+    let mut paths = Vec::new();
+    Args::read(args, |arg, args| {
+        match arg {
+            "--addr" => addr = Some(args.value(arg)?),
+            "--ping" => verb = Some("ping"),
+            "--models" => verb = Some("models"),
             "--model" => {
-                verb = Some("check".into());
-                model = Some(model_by_name(&take("--model")?)?);
+                verb = Some("check");
+                model = Some(model_by_name(&args.value::<String>(arg)?)?);
             }
             "--litmus" => {
-                verb = Some("litmus".into());
-                litmus_name = Some(take("--litmus")?);
+                verb = Some("litmus");
+                litmus_name = Some(args.value(arg)?);
             }
-            "--deadline-ms" => {
-                deadline_ms = Some(take("--deadline-ms")?.parse().map_err(|_| "bad --deadline-ms")?)
-            }
-            "--timeout-ms" => {
-                timeout_ms = take("--timeout-ms")?.parse().map_err(|_| "bad --timeout-ms")?
-            }
-            "--retries" => retries = take("--retries")?.parse().map_err(|_| "bad --retries")?,
-            "--seed" => seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
-            other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            path => paths.push(path.to_string()),
+            "--deadline-ms" => deadline_ms = Some(args.value(arg)?),
+            "--timeout-ms" => timeout_ms = args.value(arg)?,
+            "--retries" => retries = args.value(arg)?,
+            "--seed" => seed = args.value(arg)?,
+            flag if flag.starts_with("--") => return Ok(false),
+            path => paths.push(path),
         }
-    }
+        Ok(true)
+    })?;
     let addr = addr.ok_or("usage: ccmm query --addr HOST:PORT (--ping | --model M <comp> <obs> | --models <comp> <obs> | --litmus NAME)")?;
-    let request = match verb.as_deref() {
+    let request = match verb {
         Some("ping") => Request { verb: Verb::Ping, deadline_ms },
         Some("litmus") => {
             Request { verb: Verb::Litmus { name: litmus_name.unwrap() }, deadline_ms }
@@ -1884,10 +1732,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    // Exit codes: 0 success/complete, 1 failed check/gate/conformance,
-    // 2 usage or I/O error, and for `sweep` additionally 3 degraded,
-    // 4 partial (deadline), 5 gate-without-baseline, 70 killed by the
-    // fault plan.
+    // Exit codes: see `exit`.
     // The timing-record file is read from `CCMM_BENCH_JSON` here, once,
     // and handed to the commands that record or gate on timings.
     let bench_json = ccmm_bench::report::bench_json_path();

@@ -57,16 +57,15 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Parses a `--mutate` value.
+    /// Every mutation, in the order usage texts list them.
+    const ALL: [Mutation; 3] = [Mutation::None, Mutation::SkipFlush, Mutation::SkipReconcile];
+
+    /// Parses a `--mutate` value (or a `ccmm watch --fault` value).
     pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "none" => Ok(Mutation::None),
-            "skip-flush" => Ok(Mutation::SkipFlush),
-            "skip-reconcile" => Ok(Mutation::SkipReconcile),
-            other => {
-                Err(format!("unknown mutation `{other}` (none | skip-flush | skip-reconcile)"))
-            }
-        }
+        Self::ALL.into_iter().find(|m| m.name() == name).ok_or_else(|| {
+            let names = Self::ALL.map(Mutation::name).join(" | ");
+            format!("unknown mutation `{name}` ({names})")
+        })
     }
 
     /// The canonical name (inverse of [`Mutation::from_name`]).
@@ -78,7 +77,9 @@ impl Mutation {
         }
     }
 
-    fn faults(self) -> FaultInjection {
+    /// The executor fault switches this mutation throws; `ccmm watch
+    /// --fault` takes the same names.
+    pub fn faults(self) -> FaultInjection {
         match self {
             Mutation::None => FaultInjection::NONE,
             Mutation::SkipFlush => FaultInjection { skip_flush: true, skip_reconcile: false },

@@ -930,3 +930,126 @@ fn watch_resume_rejects_a_mismatched_fingerprint() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Every bad flag or flag value is a usage error: exit 2 with an
+/// `error:` line naming the problem, never a panic (exit 101) and never a
+/// silently ignored argument.
+#[test]
+fn bad_flags_and_values_are_usage_errors_in_every_subcommand() {
+    let cases: &[(&[&str], &str)] = &[
+        // Unknown flags, including the run flags only supervised runs take.
+        (&["backer", "--bogus"], "unknown flag `--bogus`"),
+        (&["lattice", "--node", "4"], "unknown flag `--node`"),
+        (&["lattice", "4"], "unknown flag `4`"),
+        (&["sweep", "--bogus"], "unknown flag `--bogus`"),
+        (&["conformance", "--bogus"], "unknown flag `--bogus`"),
+        (&["conformance", "--deadline-secs", "1"], "unknown flag `--deadline-secs`"),
+        (&["conformance", "--ckpt", "j"], "unknown flag `--ckpt`"),
+        (&["stress", "--bogus"], "unknown flag `--bogus`"),
+        (&["watch", "--bogus"], "unknown flag `--bogus`"),
+        (&["serve", "--bogus"], "unknown flag `--bogus`"),
+        (&["serve", "--resume", "j"], "unknown flag `--resume`"),
+        (&["serve", "--deadline-secs", "1"], "unknown flag `--deadline-secs`"),
+        (&["query", "--bogus"], "unknown flag `--bogus`"),
+        // A value flag with no value.
+        (&["backer", "--runs"], "--runs needs a value"),
+        (&["lattice", "--nodes"], "--nodes needs a value"),
+        (&["sweep", "--bound"], "--bound needs a value"),
+        (&["conformance", "--nodes"], "--nodes needs a value"),
+        (&["stress", "--seed"], "--seed needs a value"),
+        (&["watch", "--ckpt"], "--ckpt needs a value"),
+        (&["serve", "--addr"], "--addr needs a value"),
+        (&["query", "--retries"], "--retries needs a value"),
+        // A non-numeric value.
+        (&["backer", "--page", "x"], "bad --page"),
+        (&["lattice", "--nodes", "x"], "bad --nodes"),
+        (&["sweep", "--locs", "x"], "bad --locs"),
+        (&["conformance", "--random", "x"], "bad --random"),
+        (&["stress", "--iters", "x"], "bad --iters"),
+        (&["watch", "--cache", "x"], "bad --cache"),
+        (&["serve", "--max-inflight", "x"], "bad --max-inflight"),
+        (&["query", "--timeout-ms", "x"], "bad --timeout-ms"),
+        // Zero threads, processors or checkpoint cadence.
+        (&["sweep", "--threads", "0"], "--threads must be at least 1"),
+        (&["conformance", "--threads", "0"], "--threads must be at least 1"),
+        (&["stress", "--threads", "0"], "--threads must be at least 1"),
+        (&["backer", "--procs", "0"], "--procs must be at least 1"),
+        (&["watch", "--procs", "0"], "--procs must be at least 1"),
+        (&["sweep", "--ckpt-every", "0"], "--ckpt-every must be at least 1"),
+        (&["stress", "--ckpt-every", "0"], "--ckpt-every must be at least 1"),
+        (&["watch", "--ckpt-every", "0"], "--ckpt-every must be at least 1"),
+        // Deadlines that are not a finite, non-negative number of seconds.
+        (&["sweep", "--deadline-secs", "-1"], "bad --deadline-secs"),
+        (&["sweep", "--deadline-secs", "nan"], "bad --deadline-secs"),
+        (&["sweep", "--deadline-secs", "inf"], "bad --deadline-secs"),
+        (&["stress", "--deadline-secs", "-1"], "bad --deadline-secs"),
+        (&["stress", "--deadline-secs", "nan"], "bad --deadline-secs"),
+        (&["stress", "--deadline-secs", "inf"], "bad --deadline-secs"),
+        (&["watch", "--deadline-secs", "-1"], "bad --deadline-secs"),
+        (&["watch", "--deadline-secs", "nan"], "bad --deadline-secs"),
+        (&["watch", "--deadline-secs", "inf"], "bad --deadline-secs"),
+        // A fresh journal and a resumed one at once.
+        (&["sweep", "--ckpt", "a", "--resume", "b"], "pass only one"),
+        (&["stress", "--ckpt", "a", "--resume", "b"], "pass only one"),
+        (&["watch", "--ckpt", "a", "--resume", "b"], "pass only one"),
+    ];
+    let json = std::env::temp_dir().join(format!("ccmm-cli-bench-usage-{}", std::process::id()));
+    for (args, expect) in cases {
+        let out = bin().args(*args).env("CCMM_BENCH_JSON", &json).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "ccmm {}: {err}", args.join(" "));
+        let line = err.lines().find(|l| l.starts_with("error: ")).unwrap_or_else(|| {
+            panic!("ccmm {}: no error line in {err:?}", args.join(" "));
+        });
+        assert!(line.contains(expect), "ccmm {}: {line:?} lacks {expect:?}", args.join(" "));
+    }
+    assert!(!json.exists(), "a refused command must not record anything");
+}
+
+/// The relation cells of a printed Figure-1 table, whitespace dropped.
+fn lattice_cells(table: &str) -> Vec<String> {
+    table.lines().map(|l| l.split_whitespace().collect()).collect()
+}
+
+#[test]
+fn lattice_command_matches_the_sweep_lattice() {
+    let out = bin().args(["lattice", "--nodes", "3"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let lattice = lattice_cells(&String::from_utf8(out.stdout).unwrap());
+    let (mut cmd, json) = sweep_cmd("lattice-parity");
+    let out = cmd.args(["--bound", "3"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let table: Vec<&str> =
+        text.lines().skip_while(|l| !l.starts_with("lattice [")).skip(1).take(7).collect();
+    assert_eq!(lattice, lattice_cells(&table.join("\n")), "{text}");
+    assert_eq!(lattice.len(), 7, "a header and six model rows");
+    let _ = std::fs::remove_file(&json);
+}
+
+#[test]
+fn watch_gate_without_baseline_exits_5_and_records_nothing() {
+    let (mut cmd, json) = watch_cmd("gate-nobase");
+    let out = cmd.args(["--workload", "fib:10", "--gate"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(5), "dedicated exit code for a gate with no baseline");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("no baseline for this config"), "unexpected stderr: {err}");
+    assert!(!json.exists(), "a refused gate run must not record itself as the baseline");
+}
+
+#[test]
+fn watch_gate_skips_a_partial_run() {
+    let (mut base, json) = watch_cmd("gate-partial");
+    let out = base.args(["--workload", "fib:16"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    // Same bench file, now with a baseline of this shape to gate against.
+    let out = bin()
+        .args(["watch", "--workload", "fib:16", "--deadline-secs", "0", "--gate"])
+        .env("CCMM_BENCH_JSON", &json)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("gate: skipped — run was partial"), "{text}");
+    let _ = std::fs::remove_file(&json);
+}
