@@ -137,8 +137,8 @@ echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical 
 # record; run 2 resumes, finishes memberships without a new record (9
 # tasks < 16), and is killed by the fixpoint journal's first record; run
 # 3 resumes the masks and must complete with survivor counts
-# bit-identical to both an uninterrupted lane run and the scalar
-# worklist.
+# bit-identical to both an uninterrupted lane run and the default
+# (scalar-kernel) engine.
 fixline() { sed -n 's/.*fixpoint: \(.*\) \[.*/\1/p' "$1"; }
 ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
     > "$scratch/fix-clean.out" 2>/dev/null
@@ -159,7 +159,34 @@ ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
 diff <(fixline "$scratch/fix-clean.out") <(fixline "$scratch/fix-resumed.out") \
     || { echo "resumed lane fixpoint differs from the uninterrupted run"; exit 1; }
 diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed.out") \
-    || { echo "lane fixpoint differs from the scalar worklist"; exit 1; }
+    || { echo "lane fixpoint differs from the scalar-kernel engine"; exit 1; }
+
+echo "== default-engine fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
+# The default engine runs the same mask fixpoint through the scalar
+# kernel and journals it to <ckpt>.fixpoint too. The same cadence lands
+# the first kill in memberships and the second in the fixpoint; the
+# final resume must reproduce the uninterrupted run's membership counts
+# and fixpoint line.
+rc=0
+ccmm sweep --bound 4 --canonical --threads 2 \
+    --ckpt "$scratch/sfix.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
+    > /dev/null 2>&1 || rc=$?
+[[ "$rc" == 70 ]] || { echo "expected memberships-phase kill exit 70, got $rc"; exit 1; }
+rc=0
+ccmm sweep --bound 4 --canonical --threads 2 \
+    --resume "$scratch/sfix.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
+    > "$scratch/sfix-killed.out" 2>/dev/null || rc=$?
+[[ "$rc" == 70 ]] || { echo "expected fixpoint-phase kill exit 70, got $rc"; exit 1; }
+grep -q "fixpoint checkpoint record" "$scratch/sfix-killed.out" \
+    || { echo "second kill did not land in the fixpoint phase"; exit 1; }
+ccmm sweep --bound 4 --canonical --threads 2 \
+    --resume "$scratch/sfix.ckpt" > "$scratch/sfix-resumed.out" 2>/dev/null
+grep -q "resuming fixpoint from" "$scratch/sfix-resumed.out" \
+    || { echo "the default engine did not resume its fixpoint journal"; exit 1; }
+diff <(counts "$scratch/clean.out") <(counts "$scratch/sfix-resumed.out") \
+    || { echo "resumed default-engine counts differ from the uninterrupted run"; exit 1; }
+diff <(fixline "$scratch/clean.out") <(fixline "$scratch/sfix-resumed.out") \
+    || { echo "resumed default-engine fixpoint differs from the uninterrupted run"; exit 1; }
 
 echo "== stress smoke: perturbed-executor conformance, self-test, kill/resume, journal failure =="
 # The self-test proves the oracle has teeth (a seeded skip-reconcile

@@ -8,7 +8,6 @@
 //! speedup claim behind `ccmm sweep --engine lane64`.
 
 use ccmm_core::constructible::lanes::LaneConstructible;
-use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::model::Nn;
 use ccmm_core::sweep::supervisor::{memberships, Kernel, Lane64, Scalar, Supervisor};
 use ccmm_core::sweep::SweepConfig;
@@ -49,33 +48,34 @@ fn bench_lane_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `ccmm sweep` phase-3 workload both ways: the scalar Δ* worklist
-/// (hash-set survivor sets, one membership check per recheck) vs the
-/// lane fixpoint (node-major survivor masks, 64-wide deltas). Both are
-/// single-threaded end-to-end — Stage A plus the cascade — so the ratio
-/// is the `--engine lane64` fixpoint claim in its reproducible form.
+/// The `ccmm sweep` phase-3 workload through both Stage-A kernels of the
+/// mask Δ* fixpoint: `Scalar` (one `contains_with` per observer, the
+/// default engine) vs `Lane64` (64 observers per `contains_lanes` word,
+/// `--engine lane64`). The cascade is shared, and both run
+/// single-threaded end to end, so the ratio is a kernel ratio.
 fn bench_lane_fixpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_fixpoint");
     group.sample_size(10);
+    let fixpoint = |u: &Universe, cfg: &SweepConfig, lanes: bool| {
+        let none = Supervisor::none();
+        LaneConstructible::compute_supervised(&Nn::default(), u, cfg, &none, None, None, lanes)
+            .expect_complete("bench fixpoint")
+    };
     for (nodes, locs) in [(4usize, 1usize), (4, 2), (5, 1)] {
         let u = Universe::new(nodes, locs);
         let cfg = SweepConfig::serial();
         let id = format!("{nodes}n{locs}l");
-        let scalar = BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg);
-        let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg);
+        let (scalar, lane) = (fixpoint(&u, &cfg, false), fixpoint(&u, &cfg, true));
         assert_eq!(
             (scalar.total_pairs(), scalar.deleted),
             (lane.total_pairs(), lane.deleted),
-            "engines disagree at {id}; the ratio would be meaningless"
+            "kernels disagree at {id}; the ratio would be meaningless"
         );
-        group.bench_function(BenchmarkId::new("worklist", &id), |b| {
-            b.iter(|| {
-                black_box(BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg))
-                    .total_pairs()
-            })
+        group.bench_function(BenchmarkId::new("scalar-kernel", &id), |b| {
+            b.iter(|| black_box(fixpoint(&u, &cfg, false)).total_pairs())
         });
         group.bench_function(BenchmarkId::new("lane64", &id), |b| {
-            b.iter(|| black_box(LaneConstructible::compute(&Nn::default(), &u, &cfg)).total_pairs())
+            b.iter(|| black_box(fixpoint(&u, &cfg, true)).total_pairs())
         });
     }
     group.finish();

@@ -6,19 +6,20 @@
 //! invariants that hold unconditionally (LC ⊆ fixpoint ⊆ NN) and reports
 //! Theorem 22 (LC ⊊ NN) counts.
 //!
-//! The fixpoint runs on the worklist engine: the base set is materialised
-//! by the parallel sweep (`CCMM_THREADS` threads) and, after one full
-//! pass, deletions propagate only to the unique augmentation parent of
-//! each deleted pair instead of re-scanning the universe. Survivors are
-//! identical to the naïve re-scan fixpoint; the timing lands in
-//! `BENCH_sweep.json`.
+//! The fixpoint runs on the mask engine (`LaneConstructible`): the base
+//! survivor masks are materialised by the parallel sweep (`CCMM_THREADS`
+//! threads) and, after one full pass, deletions propagate only to the
+//! unique augmentation parent of each deleted pair instead of re-scanning
+//! the universe. Survivors are identical to the naïve re-scan fixpoint;
+//! the timing lands in `BENCH_sweep.json` under the `worklist` engine
+//! key, which names the cascade.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_thm23 [max_nodes]`
 //! (default bound 5; 4 is fast, 5 takes a few seconds in release)
 
 use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::Table;
-use ccmm_core::constructible::BoundedConstructible;
+use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
@@ -35,7 +36,7 @@ fn main() {
         cfg.threads
     );
     let t0 = std::time::Instant::now();
-    let fix = BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg);
+    let fix = LaneConstructible::compute(&Nn::default(), &u, &cfg);
     let wall = t0.elapsed();
     println!(
         "fixpoint reached in {:?}: {} rounds, {} pairs deleted, {} survive\n",

@@ -1,12 +1,13 @@
 //! Lane-parallel bounded Δ* fixpoint: survivor sets as `u64` verdict
-//! masks over node-major observer columns.
+//! masks over node-major observer columns. This is the one production
+//! Δ* engine; [`BoundedConstructible::compute`] is the naïve reference it
+//! is tested against.
 //!
-//! The scalar worklist ([`BoundedConstructible::compute_worklist`])
-//! keys survivor sets by `HashMap<Computation, HashSet<ObserverFunction>>`
-//! — every membership query hashes a whole observer table, every
-//! cascade re-check re-enumerates extension candidates one `HashSet`
-//! probe at a time. This module replaces that representation with a
-//! flat bit arena:
+//! The naïve reference keys survivor sets by
+//! `HashMap<Computation, HashSet<ObserverFunction>>` — every membership
+//! query hashes a whole observer table, and every extension check
+//! re-enumerates candidates one `HashSet` probe at a time. This module
+//! replaces that representation with a flat bit arena:
 //!
 //! * Every labelled computation in the universe gets an [`Entry`]: a
 //!   contiguous run of mask words in which bit `p` is the survivor flag
@@ -25,20 +26,24 @@
 //!   covers up to 64 scalar `HashSet` probes — and deletion
 //!   propagation to the unique augmentation parent is a shift
 //!   (`parent bit = p / E`) instead of an observer-table restriction.
-//!   Masking is exact: clearing bit `p` removes exactly the pair the
-//!   scalar path removes, and a block emptiness flip is exactly the
-//!   scalar `any_extension` condition turning false, so the greatest
-//!   fixpoint (and `deleted`) is bit-identical to the scalar worklist.
+//!   Masking is exact: clearing bit `p` removes exactly the pair `(C, Φ)`,
+//!   and a block emptiness flip is exactly the `any_extension` condition
+//!   turning false, so the greatest fixpoint (and `deleted`) is
+//!   bit-identical to the naïve reference's.
 //!
 //! Stage A (mask materialisation) runs under the full supervisor
 //! machinery — work-stealing shards, deadlines, quarantine,
 //! checkpoint/resume — via [`sweep_supervised`], filling each
 //! task's mask words through a sweep [`Kernel`]: [`Lane64`] (64
 //! observers per word through [`MemoryModel::contains_lanes`]) or
-//! [`Scalar`] (bit-at-a-time; same bits, used for journal interop and
-//! differential tests). Stage B (the cascade) is a serial
-//! worklist over the arena mirroring the scalar algorithm's rounds,
-//! counters, and quarantine semantics exactly.
+//! [`Scalar`] (bit-at-a-time through [`MemoryModel::contains_with`]; the
+//! same bits). Stage B is a serial worklist cascade over the arena: one
+//! full pass, then each deletion re-checks only the unique augmentation
+//! parent of the cleared bit. Deletion is monotone and the extension
+//! condition anti-monotone in the survivor sets, so the cascade reaches
+//! the same greatest fixpoint as the naïve re-scan; `passes` counts the
+//! initial pass plus the cascade rounds that deleted something (the
+//! naïve re-scan also counts its final, deletion-free pass).
 //!
 //! Checkpoint records are *incremental*: each snapshot journals only
 //! the mask groups completed since the previous record (plus the full
@@ -53,6 +58,7 @@ use ccmm_dag::{Dag, NodeId};
 
 use crate::ckpt::{get_u64, put_u64, Checkpoint, CkptWriter};
 use crate::computation::Computation;
+use crate::constructible::{size_agreement, SizeAgreement};
 use crate::enumerate::{node_major_index, node_major_shape};
 use crate::fault::FaultPlan;
 use crate::model::MemoryModel;
@@ -397,10 +403,10 @@ fn entry_slice<'a>(words: &'a [u64], e: &Entry) -> &'a [u64] {
 fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOutcome {
     // Initial full pass: for every surviving bit of every interior
     // entry, test each op's extension block in the augmentation's mask.
-    // One interior *computation* is one supervised check (mirroring the
-    // scalar path's per-computation quarantine granularity) under
-    // `retry_once`: retried once, and quarantined — keeping its bits — on
-    // a second panic.
+    // One interior *computation* is one supervised check, numbered in
+    // layout order, under `retry_once`: retried once, and quarantined —
+    // keeping its bits, which preserves the over-approximation
+    // `Δ* ⊆ result ⊆ Δ` — on a second panic.
     let mut queue: Vec<(u32, u32)> = Vec::new();
     let mut quarantined = Vec::new();
     let mut check_idx = 0usize;
@@ -443,8 +449,8 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 
     // Cascade: clear a round of bits, push the unique augmentation
     // parent of each cleared bit for re-check, evaluate re-checks after
-    // the round. Identical round structure, counters, and `passes`
-    // accounting to the scalar worklist.
+    // the round. `passes` counts the initial pass plus every round that
+    // queued a deletion.
     let mut passes = 1;
     let mut deleted = 0usize;
     telemetry::count(Counter::WorklistPushes, queue.len() as u64);
@@ -507,8 +513,8 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 // ---------------------------------------------------------------------
 
 /// The bounded Δ* fixpoint computed lane-parallel over mask words.
-/// Survivors, `deleted`, and `passes` are bit-identical to
-/// [`BoundedConstructible::compute_worklist`] on the same universe.
+/// Survivors and `deleted` are identical to the naïve
+/// [`BoundedConstructible::compute`] on the same universe.
 pub struct LaneConstructible {
     alphabet: Vec<Op>,
     metas: Vec<TaskMeta>,
@@ -541,7 +547,7 @@ impl LaneConstructible {
         }
     }
 
-    /// Computes the fixpoint with the lane engine, panicking unless the
+    /// Computes the fixpoint with the lane kernel, panicking unless the
     /// run completes cleanly. See [`Self::compute_supervised`].
     pub fn compute<M: MemoryModel + Sync>(model: &M, u: &Universe, cfg: &SweepConfig) -> Self {
         Self::compute_supervised(model, u, cfg, &Supervisor::none(), None, None, true)
@@ -552,8 +558,8 @@ impl LaneConstructible {
     /// (materialisation) honours deadlines, checkpoints to `ckpt`
     /// (`(writer, every)`), resumes from a decoded journal, and
     /// quarantines panicking shards (their masks are conservatively
-    /// kept all-ones); Stage B mirrors the scalar worklist's
-    /// per-computation quarantine. `lanes` selects the lane kernel
+    /// kept all-ones); Stage B quarantines one interior computation's
+    /// check at a time. `lanes` selects the lane kernel
     /// ([`MemoryModel::contains_lanes`]) or the scalar kernel for Stage
     /// A — the journals and results are bit-identical either way, so a
     /// journal written by one engine resumes under the other.
@@ -570,9 +576,9 @@ impl LaneConstructible {
         ckpt: Option<(&mut CkptWriter, usize)>,
         lanes: bool,
     ) -> Supervised<Self> {
-        // The fixpoint keys survivors by labelled computation, so Stage
-        // A always runs the labelled enumeration (as the scalar path
-        // does) even under a canonical config.
+        // The fixpoint keys survivors by labelled computation (every
+        // augmentation parent must be present), so Stage A always runs
+        // the labelled enumeration, even under a canonical config.
         let cfg = &SweepConfig { canonical: false, ..*cfg };
         let stage_a = if lanes {
             materialize_masks(Lane64, model, u, cfg, sup, resume, ckpt)
@@ -606,7 +612,7 @@ impl LaneConstructible {
         Supervised { value, status, quarantined, frontier, total_tasks, ckpt_error }
     }
 
-    /// Whether `(c, phi)` survived the fixpoint. Matches the scalar
+    /// Whether `(c, phi)` survived the fixpoint. Matches the naïve
     /// [`BoundedConstructible::contains`] on every computation of the
     /// universe: an unknown shape (too large, backward edge, op outside
     /// the alphabet, non-enumerated closure) is simply not a survivor.
@@ -639,6 +645,17 @@ impl LaneConstructible {
         self.words[e.off as usize + (p / 64) as usize] & (1u64 << (p % 64)) != 0
     }
 
+    /// Compares the survivors of size `n` against `model`, over every
+    /// valid observer of the size-`n` computations of `u`.
+    pub fn agreement_with<M: MemoryModel>(
+        &self,
+        model: &M,
+        n: usize,
+        u: &Universe,
+    ) -> SizeAgreement {
+        size_agreement(|c, phi| self.contains(c, phi), model, n, u)
+    }
+
     /// Total surviving pairs (mask population count).
     pub fn total_pairs(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -662,29 +679,29 @@ mod tests {
     use super::*;
     use crate::constructible::BoundedConstructible;
     use crate::enumerate::for_each_observer;
-    use crate::model::{Lc, Nn};
+    use crate::model::{Lc, Model, Nn, Sc};
 
     fn cfg(threads: usize) -> SweepConfig {
         SweepConfig { threads, ..SweepConfig::default() }
     }
 
-    fn assert_matches_scalar<M: MemoryModel + Sync>(
-        model: &M,
-        u: &Universe,
-        lane: &LaneConstructible,
-    ) {
-        let scalar = BoundedConstructible::compute_worklist(model, u, &cfg(1));
-        assert_eq!(lane.total_pairs(), scalar.total_pairs());
-        assert_eq!(lane.deleted, scalar.deleted);
-        assert_eq!(lane.passes, scalar.passes);
+    /// Asserts that the mask fixpoint kept exactly the naïve reference's
+    /// survivors, pair by pair over the universe. The naïve re-scan
+    /// counts one more pass than the cascade whenever it deleted
+    /// anything: its final, deletion-free pass.
+    fn assert_matches_naive<M: MemoryModel>(model: &M, u: &Universe, lane: &LaneConstructible) {
+        let naive = BoundedConstructible::compute(model, u);
+        assert_eq!(lane.total_pairs(), naive.total_pairs());
+        assert_eq!(lane.deleted, naive.deleted);
+        assert_eq!(naive.passes, lane.passes + usize::from(lane.deleted > 0));
         for n in 0..=u.max_nodes {
-            assert_eq!(lane.pairs_of_size(n), scalar.pairs_of_size(n), "size {n}");
+            assert_eq!(lane.pairs_of_size(n), naive.pairs_of_size(n), "size {n}");
         }
         let _ = u.for_each_computation(|c| {
             let _ = for_each_observer(c, |phi| {
                 assert_eq!(
                     lane.contains(c, phi),
-                    scalar.contains(c, phi),
+                    naive.contains(c, phi),
                     "pair disagreement on {c:?} / {phi:?}"
                 );
                 ControlFlow::Continue(())
@@ -694,19 +711,56 @@ mod tests {
     }
 
     #[test]
-    fn lane_fixpoint_matches_scalar_worklist() {
-        for &(b, l) in &[(3, 1), (4, 1), (3, 2)] {
+    fn lane_fixpoint_matches_naive_for_nn() {
+        for &(b, l, threads) in &[(3, 1, 1), (4, 1, 1), (4, 1, 4), (3, 2, 1)] {
             let u = Universe::new(b, l);
-            let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
-            assert_matches_scalar(&Nn::default(), &u, &lane);
+            let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(threads));
+            assert_matches_naive(&Nn::default(), &u, &lane);
         }
     }
 
     #[test]
-    fn lane_fixpoint_matches_scalar_worklist_threaded_and_lc() {
-        let u = Universe::new(3, 2);
-        let lane = LaneConstructible::compute(&Lc, &u, &cfg(4));
-        assert_matches_scalar(&Lc, &u, &lane);
+    fn lane_fixpoint_matches_naive_for_constructible_models() {
+        // A constructible model is its own fixpoint: nothing is deleted
+        // and the initial pass is the only one.
+        let u = Universe::new(3, 1);
+        let lc = LaneConstructible::compute(&Lc, &u, &cfg(2));
+        assert_matches_naive(&Lc, &u, &lc);
+        assert_eq!((lc.deleted, lc.passes), (0, 1));
+        let sc = LaneConstructible::compute(&Sc, &u, &cfg(2));
+        assert_matches_naive(&Sc, &u, &sc);
+        // Two locations as well: an augmentation's final node then has
+        // one observer slot per location.
+        let u2 = Universe::new(3, 2);
+        for threads in [2, 4] {
+            let lane = LaneConstructible::compute(&Lc, &u2, &cfg(threads));
+            assert_matches_naive(&Lc, &u2, &lane);
+        }
+    }
+
+    #[test]
+    fn bound_5_deletions_are_pinned_for_both_kernels() {
+        // No universe of at most 4 nodes deletes anything: Figure 4's
+        // dead end is a 4-node prefix, and only a 5-node bound holds its
+        // augmentations. These are the bound-5, 1-location results.
+        let u = Universe::new(5, 1);
+        let pins = [(Model::Nn, 513_984, 96), (Model::Nw, 603_236, 12), (Model::Wn, 520_816, 40)];
+        for (model, survivors, deleted) in pins {
+            for lanes in [false, true] {
+                let fix = LaneConstructible::compute_supervised(
+                    &model,
+                    &u,
+                    &cfg(2),
+                    &Supervisor::none(),
+                    None,
+                    None,
+                    lanes,
+                )
+                .expect_complete("bound-5 fixpoint");
+                let got = (fix.total_pairs(), fix.deleted, fix.passes);
+                assert_eq!(got, (survivors, deleted, 1), "{model} (lanes: {lanes})");
+            }
+        }
     }
 
     #[test]
@@ -772,35 +826,51 @@ mod tests {
 
     #[test]
     fn fixpoint_quarantine_keeps_bits_and_degrades() {
-        let u = Universe::new(3, 1);
+        // A persistent panic in one initial-pass check must not abort the
+        // fixpoint: the computation is quarantined (bits kept) and the
+        // result stays a sound over-approximation.
+        let u = Universe::new(4, 1);
         let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
         let sup = Supervisor::with_fault(FaultPlan::none().panic_at_fixpoint(0));
         let out = LaneConstructible::compute_supervised(
             &Nn::default(),
             &u,
-            &cfg(1),
+            &cfg(2),
             &sup,
             None,
             None,
-            true,
+            false,
         );
         assert_eq!(out.status, SweepStatus::Degraded);
         assert_eq!(out.quarantined.len(), 1);
+        assert_eq!(out.quarantined[0].task_idx, 0);
         assert!(out.quarantined[0].payload.contains("fixpoint check 0"));
-        // Quarantine keeps pairs: the degraded run over-approximates.
+        // Quarantine keeps pairs: never fewer survivors than the clean
+        // run, and every survivor is still in the model.
         assert!(out.value.total_pairs() >= clean.total_pairs());
-        // Healing fault (panics once, retry succeeds) is not degraded.
-        let sup = Supervisor::with_fault(FaultPlan::none().panic_once_at_fixpoint(0));
+        let _ = u.for_each_computation(|c| {
+            let _ = for_each_observer(c, |phi| {
+                if out.value.contains(c, phi) {
+                    assert!(Nn::default().contains(c, phi), "quarantine broke fixpoint ⊆ NN");
+                }
+                ControlFlow::Continue(())
+            });
+            ControlFlow::Continue(())
+        });
+        // A healing fault (panics once, the retry succeeds) is not
+        // degraded, and its masks are the clean run's, bit for bit.
+        let sup = Supervisor::with_fault(FaultPlan::none().panic_once_at_fixpoint(1));
         let healed = LaneConstructible::compute_supervised(
             &Nn::default(),
             &u,
-            &cfg(1),
+            &cfg(2),
             &sup,
             None,
             None,
             true,
         );
         assert_eq!(healed.status, SweepStatus::Complete);
-        assert_eq!(healed.value.total_pairs(), clean.total_pairs());
+        assert!(healed.quarantined.is_empty());
+        assert_eq!(healed.value.words, clean.words);
     }
 }

@@ -683,7 +683,6 @@ impl Gate {
 
 fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
-    use ccmm::core::constructible::BoundedConstructible;
     use ccmm::core::fault::FaultPlan;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
@@ -745,6 +744,8 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
         (false, true) => "canonical",
         (false, false) => "labelled",
     };
+    // The scalar engine's fixpoint keeps its historical `worklist` label
+    // (and bench key): Stage B of the mask fixpoint is a worklist cascade.
     let fix_engine = if lane { "lane64" } else { "worklist" };
     let u = Universe::new(bound, locs);
 
@@ -873,53 +874,45 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     records.push(record("cli_sweep/lattice", engine, wall, 0, 0, lattice_status));
 
     // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
-    // necessity — survivor sets are keyed by concrete computations), then
-    // the one-step augmentation check for every model. The lane engine
-    // runs the mask-based fixpoint, which checkpoints to its own journal
-    // (`<path>.fixpoint`) beside the memberships journal: the fingerprint
-    // is engine-free because the mask bits are identical either way, so a
-    // fixpoint journal written under one kernel resumes under the other.
+    // necessity — survivor masks are keyed by concrete computations), then
+    // the one-step augmentation check for every model. The fixpoint
+    // checkpoints to its own journal (`<path>.fixpoint`) beside the
+    // memberships journal: the fingerprint is engine-free because the mask
+    // bits are identical under either Stage-A kernel, so a fixpoint
+    // journal written by one engine resumes under the other.
     let nn = Nn::default();
-    let (pairs, deleted, passes, fix_status, wall) = if lane {
-        let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
-        let fix_journal = run.journal.as_ref().map(|(base, resuming)| {
-            let path = format!("{base}.fixpoint");
-            let resuming = *resuming && std::path::Path::new(&path).exists();
-            (path, resuming)
-        });
-        let decode = |loaded: &ckpt::Checkpoint| decode_masks_journal(loaded).map(Some);
-        let (mut fix_writer, fix_resume) =
-            open_journal("fixpoint checkpoint", &fix_journal, &fix_fingerprint, decode)?;
-        if let (Some((path, _)), Some((f, _))) = (&fix_journal, &fix_resume) {
-            println!("resuming fixpoint from {path}: {} task(s) already complete", f.len());
-        }
-        let sink = fix_writer.as_mut().map(|w| (w, run.ckpt_every));
-        let (out, wall) = tel.phase("sweep/fixpoint", || {
-            LaneConstructible::compute_supervised(&nn, &u, &cfg, &sup, fix_resume, sink, true)
-        });
-        if let Some(e) = &out.ckpt_error {
-            eprintln!("warning: fixpoint checkpoint journalling failed mid-sweep: {e}");
-        }
-        report_quarantine("fixpoint", &out.quarantined);
-        let (total, phase) = (out.total_tasks, Some("fixpoint"));
-        if report_stop(out.status, &out.frontier, total, units, phase, &run.journal, &fix_writer) {
-            return stopped(out.status, &records, &tel);
-        }
-        (out.value.total_pairs() as u64, out.value.deleted, out.value.passes, out.status, wall)
-    } else {
-        let (fix, wall) = tel.phase("sweep/fixpoint", || {
-            BoundedConstructible::compute_worklist_supervised(&nn, &u, &cfg, &sup.fault)
-        });
-        report_quarantine("fixpoint", &fix.quarantined);
-        let fix_status = SweepStatus::of(false, false, !fix.quarantined.is_empty());
-        (fix.total_pairs() as u64, fix.deleted, fix.passes, fix_status, wall)
-    };
+    let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
+    let fix_journal = run.journal.as_ref().map(|(base, resuming)| {
+        let path = format!("{base}.fixpoint");
+        let resuming = *resuming && std::path::Path::new(&path).exists();
+        (path, resuming)
+    });
+    let decode = |loaded: &ckpt::Checkpoint| decode_masks_journal(loaded).map(Some);
+    let (mut fix_writer, fix_resume) =
+        open_journal("fixpoint checkpoint", &fix_journal, &fix_fingerprint, decode)?;
+    if let (Some((path, _)), Some((f, _))) = (&fix_journal, &fix_resume) {
+        println!("resuming fixpoint from {path}: {} task(s) already complete", f.len());
+    }
+    let sink = fix_writer.as_mut().map(|w| (w, run.ckpt_every));
+    let (fix, wall) = tel.phase("sweep/fixpoint", || {
+        LaneConstructible::compute_supervised(&nn, &u, &cfg, &sup, fix_resume, sink, lane)
+    });
+    if let Some(e) = &fix.ckpt_error {
+        eprintln!("warning: fixpoint checkpoint journalling failed mid-sweep: {e}");
+    }
+    report_quarantine("fixpoint", &fix.quarantined);
+    let (total, phase) = (fix.total_tasks, Some("fixpoint"));
+    if report_stop(fix.status, &fix.frontier, total, units, phase, &run.journal, &fix_writer) {
+        return stopped(fix.status, &records, &tel);
+    }
+    let (pairs, passes, fix_status) =
+        (fix.value.total_pairs() as u64, fix.value.passes, fix.status);
     worst = worst.max(fix_status);
     println!(
         "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
         fix_engine,
         pairs,
-        deleted,
+        fix.value.deleted,
         passes,
         wall,
         status_name(fix_status)
@@ -935,8 +928,18 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
             };
             report_quarantine("constructibility", &check.quarantined);
             status = status.max(check.status);
+            // A witness is a real dead end whatever the status; "no
+            // witness" proves constructibility only when the scan covered
+            // every prefix.
             match check.value {
-                None => println!("  {:<4} constructible up to bound {bound}", m.name()),
+                None if check.status == SweepStatus::Complete => {
+                    println!("  {:<4} constructible up to bound {bound}", m.name())
+                }
+                None => println!(
+                    "  {:<4} not decided up to bound {bound}: the check was {}",
+                    m.name(),
+                    status_name(check.status)
+                ),
                 Some(w) => println!(
                     "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
                     m.name(),
@@ -1007,8 +1010,8 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     // agree with 64× contains_with over the exhaustive sweep plus random
     // partial packings.
     let (lanes, _) = tel.timed("lane-differential", || ccmm::conformance::run_lanes(&cfg));
-    // The fixpoint differential pins the lane Δ* engine (survivor masks,
-    // both Stage-A kernels) to the scalar worklist, and the lane
+    // The fixpoint differential pins the Δ* engine (survivor masks, both
+    // Stage-A kernels) to the naïve re-scan, and the lane
     // constructibility search to the scalar scan one bound up.
     let (fix, _) = tel.timed("fixpoint-differential", || ccmm::conformance::run_fixpoint(&cfg));
     // The serve differential drives the same pair sources through the
@@ -1601,18 +1604,17 @@ USAGE:
                                            vs the same-engine baseline (exit 5
                                            when no baseline exists).
                                            --engine lane64 (with --canonical)
-                                           batches 64 observers per u64 word
-                                           and runs the Δ* fixpoint on lane
-                                           survivor masks; counts and
-                                           witnesses stay bit-identical to
-                                           scalar, and every phase runs
-                                           through bound 6 (memberships phase
-                                           only beyond; fixpoint journals to
-                                           <ckpt>.fixpoint).
+                                           batches 64 observers per u64 word,
+                                           also in the Δ* fixpoint's survivor
+                                           masks; counts and witnesses stay
+                                           bit-identical to scalar, and every
+                                           phase runs through bound 6
+                                           (memberships phase only beyond).
                                            --deadline-secs stops after the
                                            budget (exit 4, resume frontier
                                            printed); --ckpt journals progress
-                                           every K tasks; --resume continues a
+                                           every K tasks (the fixpoint to
+                                           <ckpt>.fixpoint); --resume continues a
                                            journal bit-identically; --fault
                                            injects deterministic faults (e.g.
                                            panic-at-task=3, kill-after-ckpt=2;

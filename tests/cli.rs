@@ -252,7 +252,8 @@ fn sweep_kill_and_resume_round_trip_is_bit_identical() {
         clean_counts,
         "resumed counts must be bit-identical to the uninterrupted run"
     );
-    for p in [&ckpt, &json1, &json2, &json3] {
+    let fix = ckpt.with_extension("fixpoint");
+    for p in [&ckpt, &fix, &json1, &json2, &json3] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -815,7 +816,8 @@ fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
     // The sweep itself still ran to completion with full results.
     assert_eq!(membership_counts(&text).len(), 6, "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
-    for p in [&ckpt, &json] {
+    let fix = ckpt.with_extension("fixpoint");
+    for p in [&ckpt, &fix, &json] {
         let _ = std::fs::remove_file(p);
     }
 }
