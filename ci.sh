@@ -131,13 +131,14 @@ diff <(lattice "$scratch/lane-scalar.out") <(lattice "$scratch/lane-resumed.out"
     || { echo "resumed lane64 lattice differs from the scalar run"; exit 1; }
 
 echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
-# The lane Δ* fixpoint journals survivor masks to <ckpt>.fixpoint. The
-# canonical bound-4 universe is 25 tasks, so --ckpt-every 16 writes
-# exactly one record per phase: run 1 is killed by the memberships
-# record; run 2 resumes, finishes memberships without a new record (9
-# tasks < 16), and is killed by the fixpoint journal's first record; run
-# 3 resumes the masks and must complete with survivor counts
-# bit-identical to both an uninterrupted lane run and the default
+# The lane Δ* fixpoint journals its dead-end census (counts, seeds and
+# quarantined checks) to <ckpt>.fixpoint. Memberships and the census both
+# run over the 25-task canonical bound-4 universe, so --ckpt-every 16
+# writes exactly one record per phase: run 1 is killed by the
+# memberships record; run 2 resumes, finishes memberships without a new
+# record (9 tasks < 16), and is killed by the census journal's first
+# record; run 3 resumes the census and must complete with survivor
+# counts bit-identical to both an uninterrupted lane run and the default
 # (scalar-kernel) engine.
 fixline() { sed -n 's/.*fixpoint: \(.*\) \[.*/\1/p' "$1"; }
 ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
@@ -162,8 +163,8 @@ diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed.out") \
     || { echo "lane fixpoint differs from the scalar-kernel engine"; exit 1; }
 
 echo "== default-engine fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
-# The default engine runs the same mask fixpoint through the scalar
-# kernel and journals it to <ckpt>.fixpoint too. The same cadence lands
+# The default engine runs the same census through the scalar kernel and
+# journals it to <ckpt>.fixpoint too. The same cadence lands
 # the first kill in memberships and the second in the fixpoint; the
 # final resume must reproduce the uninterrupted run's membership counts
 # and fixpoint line.
@@ -187,6 +188,22 @@ diff <(counts "$scratch/clean.out") <(counts "$scratch/sfix-resumed.out") \
     || { echo "resumed default-engine counts differ from the uninterrupted run"; exit 1; }
 diff <(fixline "$scratch/clean.out") <(fixline "$scratch/sfix-resumed.out") \
     || { echo "resumed default-engine fixpoint differs from the uninterrupted run"; exit 1; }
+
+if [[ "$fast" != "fast" ]]; then
+    echo "== fixpoint pins: bound-5 two-location and bound-6 NN* survivors =="
+    # The census reads NN's dead ends off the canonical quotient and the
+    # cascade expands them to labelled pairs; these are the labelled
+    # engine's survivor, deletion and pass counts at both shapes.
+    # Release-only: debug bound-6 sweeps are slow.
+    for shape in "5 2 22356132 1406" "6 1 45261070 17584"; do
+        read -r b l survivors deleted <<< "$shape"
+        ccmm sweep --bound "$b" --locs "$l" --canonical --engine lane64 --threads 2 \
+            > "$scratch/pin-$b.out" 2>/dev/null
+        [[ "$(fixline "$scratch/pin-$b.out")" == \
+            "$survivors surviving pairs, $deleted deleted, 1 pass(es)" ]] \
+            || { echo "bound-$b fixpoint drifted: $(fixline "$scratch/pin-$b.out")"; exit 1; }
+    done
+fi
 
 echo "== stress smoke: perturbed-executor conformance, self-test, kill/resume, journal failure =="
 # The self-test proves the oracle has teeth (a seeded skip-reconcile

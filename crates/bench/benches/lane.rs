@@ -48,10 +48,10 @@ fn bench_lane_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `ccmm sweep` phase-3 workload through both Stage-A kernels of the
-/// mask Δ* fixpoint: `Scalar` (one `contains_with` per observer, the
-/// default engine) vs `Lane64` (64 observers per `contains_lanes` word,
-/// `--engine lane64`). The cascade is shared, and both run
+/// The `ccmm sweep` phase-3 workload through both kernels of the Δ*
+/// fixpoint: `Scalar` (one `contains_with` per observer, the default
+/// engine) vs `Lane64` (64 observers per `contains_lanes` word,
+/// `--engine lane64`). Census and cascade are shared, and both run
 /// single-threaded end to end, so the ratio is a kernel ratio.
 fn bench_lane_fixpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_fixpoint");

@@ -6,8 +6,8 @@
 //! fixpoint used for Theorem 23 and compare them with LC and with NN*
 //! size by size — exhaustive evidence below the bound.
 //!
-//! Both fixpoints run on the mask engine (`LaneConstructible`) with a
-//! parallel base sweep (`CCMM_THREADS` threads); timings land in
+//! Both fixpoints run on the production engine (`LaneConstructible`)
+//! with a parallel census (`CCMM_THREADS` threads); timings land in
 //! `BENCH_sweep.json` under the `worklist` engine key, which names its
 //! deletion cascade.
 //!

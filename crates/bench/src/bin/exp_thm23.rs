@@ -6,13 +6,13 @@
 //! invariants that hold unconditionally (LC ⊆ fixpoint ⊆ NN) and reports
 //! Theorem 22 (LC ⊊ NN) counts.
 //!
-//! The fixpoint runs on the mask engine (`LaneConstructible`): the base
-//! survivor masks are materialised by the parallel sweep (`CCMM_THREADS`
-//! threads) and, after one full pass, deletions propagate only to the
-//! unique augmentation parent of each deleted pair instead of re-scanning
-//! the universe. Survivors are identical to the naïve re-scan fixpoint;
-//! the timing lands in `BENCH_sweep.json` under the `worklist` engine
-//! key, which names the cascade.
+//! The fixpoint runs on the production engine (`LaneConstructible`): a
+//! parallel canonical census (`CCMM_THREADS` threads) finds the initial
+//! dead ends, and deletions then propagate only to the unique
+//! augmentation parent of each deleted pair instead of re-scanning the
+//! universe. Survivors are identical to the naïve re-scan fixpoint; the
+//! timing lands in `BENCH_sweep.json` under the `worklist` engine key,
+//! which names the cascade.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_thm23 [max_nodes]`
 //! (default bound 5; 4 is fast, 5 takes a few seconds in release)

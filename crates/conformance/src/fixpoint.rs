@@ -1,16 +1,19 @@
 //! Fixpoint differential: pins the Δ* engine to the naïve reference.
 //!
-//! The production fixpoint ([`ccmm_core::constructible::lanes`]) computes
-//! the bounded Δ* greatest fixpoint on survivor *masks*; this module
-//! proves, per run, that it agrees with the naïve re-scan
+//! The production fixpoint ([`ccmm_core::constructible::lanes`]) reads
+//! the initial dead ends off a canonical census and cascades from them;
+//! this module proves, per run, that it agrees with the naïve re-scan
 //! ([`BoundedConstructible::compute`]) on:
 //!
-//! * **survivor sets** — every `(C, Φ)` pair of the exhaustive universe
-//!   at the harness bound is compared three ways: the naïve reference,
-//!   the mask fixpoint with the lane kernel, and the mask fixpoint with
-//!   the scalar kernel. Totals, per-size counts and deletions must all
-//!   agree, and the two kernels must also agree on their pass counts
-//!   (the naïve re-scan counts passes differently).
+//! * **survivor sets** — for every model under test, every `(C, Φ)`
+//!   pair of the exhaustive universe at the harness bound is compared
+//!   three ways: the naïve reference, the fixpoint with the lane kernel,
+//!   and the fixpoint with the scalar kernel. Totals, per-size counts and
+//!   deletions must all agree, and the two kernels must also agree on
+//!   their pass counts (the naïve re-scan counts passes differently).
+//!   The census is exact only for models invariant under poset
+//!   isomorphism and location permutation, so this guards that
+//!   precondition for every model.
 //! * **constructibility verdicts** — the one-step augmentation search at
 //!   one bound above the harness bound (the canonical bound-5 sweep
 //!   under the default config), per model: the lane search must return
@@ -19,7 +22,6 @@
 use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::Nn;
 use ccmm_core::sweep::supervisor::{
     check_constructible_aug_lanes_supervised, check_constructible_aug_supervised, Supervisor,
 };
@@ -55,55 +57,53 @@ pub fn run_fixpoint(cfg: &HarnessConfig) -> FixpointReport {
     let u = Universe::new(cfg.max_nodes, cfg.num_locations);
     let sweep = &cfg.sweep;
 
-    // Survivor sets: the naïve reference vs the mask fixpoint under both
-    // Stage-A kernels, compared pair by pair over the exhaustive universe.
-    let naive = BoundedConstructible::compute(&Nn::default(), &u);
-    let lane = LaneConstructible::compute(&Nn::default(), &u, sweep);
-    let lane_scalar_kernel = LaneConstructible::compute_supervised(
-        &Nn::default(),
-        &u,
-        sweep,
-        &Supervisor::none(),
-        None,
-        None,
-        false,
-    )
-    .expect_complete("fixpoint differential (scalar kernel)");
-    for (what, a, b, k) in [
-        ("total_pairs", naive.total_pairs(), lane.total_pairs(), lane_scalar_kernel.total_pairs()),
-        ("deleted", naive.deleted, lane.deleted, lane_scalar_kernel.deleted),
-    ] {
-        if a != b || b != k {
-            rep.mismatches.push(format!("fixpoint {what}: naive {a}, lane {b}, scalar-kernel {k}"));
-        }
-    }
-    if lane.passes != lane_scalar_kernel.passes {
-        let (a, b) = (lane.passes, lane_scalar_kernel.passes);
-        rep.mismatches.push(format!("fixpoint passes: lane {a} vs scalar-kernel {b}"));
-    }
-    for n in 0..=u.max_nodes {
-        let (a, b) = (naive.pairs_of_size(n), lane.pairs_of_size(n));
-        if a != b {
-            rep.mismatches.push(format!("fixpoint pairs_of_size({n}): naive {a} vs lane {b}"));
-        }
-    }
-    let _ = u.for_each_computation(|c| {
-        let _ = for_each_observer(c, |phi| {
-            let s = naive.contains(c, phi);
-            let l = lane.contains(c, phi);
-            let k = lane_scalar_kernel.contains(c, phi);
-            telemetry::count(Counter::ConformanceChecks, 1);
-            rep.pairs += 1;
-            if s != l || l != k {
-                rep.mismatches.push(format!(
-                    "fixpoint survivor split (naive {s}, lane {l}, scalar-kernel {k}) \
-                     on C={c:?} phi={phi:?}"
-                ));
+    // Survivor sets, per model: the naïve reference vs the fixpoint
+    // under both kernels, compared pair by pair over the exhaustive
+    // universe.
+    for m in &cfg.models {
+        let naive = BoundedConstructible::compute(m, &u);
+        let none = Supervisor::none();
+        let [lane, scalar] = [true, false].map(|lanes| {
+            let fix = LaneConstructible::compute_supervised(m, &u, sweep, &none, None, None, lanes);
+            fix.expect_complete("fixpoint differential")
+        });
+        let size = |n| (naive.pairs_of_size(n), lane.pairs_of_size(n), scalar.pairs_of_size(n));
+        let mut counts = vec![
+            (
+                "total_pairs".to_string(),
+                (naive.total_pairs(), lane.total_pairs(), scalar.total_pairs()),
+            ),
+            ("deleted".to_string(), (naive.deleted, lane.deleted, scalar.deleted)),
+        ];
+        counts.extend((0..=u.max_nodes).map(|n| (format!("pairs_of_size({n})"), size(n))));
+        for (what, (a, b, k)) in counts {
+            if a != b || b != k {
+                rep.mismatches
+                    .push(format!("{m} fixpoint {what}: naive {a}, lane {b}, scalar-kernel {k}"));
             }
+        }
+        if lane.passes != scalar.passes {
+            let (a, b) = (lane.passes, scalar.passes);
+            rep.mismatches.push(format!("{m} fixpoint passes: lane {a} vs scalar-kernel {b}"));
+        }
+        let _ = u.for_each_computation(|c| {
+            let _ = for_each_observer(c, |phi| {
+                let s = naive.contains(c, phi);
+                let l = lane.contains(c, phi);
+                let k = scalar.contains(c, phi);
+                telemetry::count(Counter::ConformanceChecks, 1);
+                rep.pairs += 1;
+                if s != l || l != k {
+                    rep.mismatches.push(format!(
+                        "{m} fixpoint survivor split (naive {s}, lane {l}, scalar-kernel {k}) \
+                         on C={c:?} phi={phi:?}"
+                    ));
+                }
+                ControlFlow::Continue(())
+            });
             ControlFlow::Continue(())
         });
-        ControlFlow::Continue(())
-    });
+    }
 
     // Constructibility verdicts: the canonical sweep one bound up (bound
     // 5 under the default harness config), per model. The lane search

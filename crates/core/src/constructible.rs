@@ -23,8 +23,10 @@
 //!
 //! Two engines compute it. [`BoundedConstructible::compute`] is the
 //! naïve re-scan over hash sets, kept as the independent reference;
-//! [`lanes::LaneConstructible`] is the production engine (survivor
-//! masks, supervised and checkpointable), which every caller runs.
+//! [`lanes::LaneConstructible`] is the production engine every caller
+//! runs: a canonical census of the initial dead ends (exact for models
+//! invariant under poset isomorphism and location permutation), then a
+//! labelled cascade from them.
 
 pub mod lanes;
 

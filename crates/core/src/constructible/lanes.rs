@@ -1,331 +1,180 @@
-//! Lane-parallel bounded Δ* fixpoint: survivor sets as `u64` verdict
-//! masks over node-major observer columns. This is the one production
-//! Δ* engine; [`BoundedConstructible::compute`] is the naïve reference it
-//! is tested against.
+//! The production bounded Δ* fixpoint (DESIGN.md §12); the naïve
+//! [`BoundedConstructible::compute`] is its reference.
 //!
-//! The naïve reference keys survivor sets by
-//! `HashMap<Computation, HashSet<ObserverFunction>>` — every membership
-//! query hashes a whole observer table, and every extension check
-//! re-enumerates candidates one `HashSet` probe at a time. This module
-//! replaces that representation with a flat bit arena:
+//! A member mask has bit `p` set iff the `p`-th observer function in
+//! node-major order ([`crate::enumerate::for_each_observer_node_major`])
+//! is a member. For an augmentation `A = aug_o(C)` whose final node has
+//! slot radix product `E`, observer `p` of `C` extends to exactly the
+//! block `[p·E, (p+1)·E)` of `A`: "some extension survives" is one
+//! [`block_empty`] test, and bit `i` of `A` restricts to bit `i / E`.
 //!
-//! * Every labelled computation in the universe gets an [`Entry`]: a
-//!   contiguous run of mask words in which bit `p` is the survivor flag
-//!   of the `p`-th observer in **node-major** enumeration order
-//!   ([`crate::enumerate::for_each_observer_node_major`]).
-//! * Node-major order sorts free observer slots by `(node, location)`,
-//!   so the final node's slots always form the least-significant digits
-//!   of the mixed-radix observer index. Because augmentation appends a
-//!   node that succeeds every existing node, the order is *recursively*
-//!   self-consistent: for an augmentation `A = C·o` with last-node slot
-//!   radix product `E`, observer `p` of `C` extends exactly to the
-//!   block `[p·E, (p+1)·E)` of `A`'s observers, and conversely
-//!   `index(A, Φ′) / E = index(C, Φ′|_C)`. The `Δ*` extension
-//!   condition "some extension of `Φ` survives in `A`" is therefore a
-//!   single aligned block-emptiness test on `A`'s mask — one word-AND
-//!   covers up to 64 scalar `HashSet` probes — and deletion
-//!   propagation to the unique augmentation parent is a shift
-//!   (`parent bit = p / E`) instead of an observer-table restriction.
-//!   Masking is exact: clearing bit `p` removes exactly the pair `(C, Φ)`,
-//!   and a block emptiness flip is exactly the `any_extension` condition
-//!   turning false, so the greatest fixpoint (and `deleted`) is
-//!   bit-identical to the naïve reference's.
+//! **Census.** One supervised pass over the canonical universe builds
+//! each labelling's member mask with a sweep [`Kernel`] ([`Lane64`] or
+//! [`Scalar`]; the same bits) and adds the orbit-weighted member count per
+//! size. Each labelling below the bound is one *check*, numbered in
+//! enumeration order and run under [`retry_once`] with the
+//! [`FaultPlan::before_fixpoint_check`] hook. A member whose block is
+//! empty for some op is an initial dead end: a [`Seed`], counted in its
+//! size's dead count. A quarantined check keeps its pairs, which
+//! preserves `Δ* ⊆ result ⊆ Δ`. The census journals full snapshots
+//! ([`encode_census_snapshot`]), the same bytes under either kernel.
 //!
-//! Stage A (mask materialisation) runs under the full supervisor
-//! machinery — work-stealing shards, deadlines, quarantine,
-//! checkpoint/resume — via [`sweep_supervised`], filling each
-//! task's mask words through a sweep [`Kernel`]: [`Lane64`] (64
-//! observers per word through [`MemoryModel::contains_lanes`]) or
-//! [`Scalar`] (bit-at-a-time through [`MemoryModel::contains_with`]; the
-//! same bits). Stage B is a serial worklist cascade over the arena: one
-//! full pass, then each deletion re-checks only the unique augmentation
-//! parent of the cleared bit. Deletion is monotone and the extension
-//! condition anti-monotone in the survivor sets, so the cascade reaches
-//! the same greatest fixpoint as the naïve re-scan; `passes` counts the
-//! initial pass plus the cascade rounds that deleted something (the
-//! naïve re-scan also counts its final, deletion-free pass).
+//! **Cascade.** Serially, the seeds are expanded to labelled pairs, which
+//! must reproduce the census's dead counts (asserted on every run). A
+//! deletion can only empty its augmentation parent's block, so each round
+//! re-checks those parents against the kernel's member masks minus the
+//! deleted set. Survivors are the members minus the deletions.
 //!
-//! Checkpoint records are *incremental*: each snapshot journals only
-//! the mask groups completed since the previous record (plus the full
-//! frontier), so the journal stays proportional to the state instead
-//! of quadratic in it; decoding folds every record of the journal.
+//! **Symmetry precondition.** The census reads every orbit off one
+//! representative, so the result is exact only for models invariant
+//! under poset isomorphism and location permutation, as all six models
+//! of Figure 1 are.
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
+use ccmm_dag::bitset::BitSet;
+use ccmm_dag::topo::for_each_topo_sort;
 use ccmm_dag::{Dag, NodeId};
 
-use crate::ckpt::{get_u64, put_u64, Checkpoint, CkptWriter};
+use crate::ckpt::{get_u64, put_u64, CkptWriter};
 use crate::computation::Computation;
 use crate::constructible::{size_agreement, SizeAgreement};
-use crate::enumerate::{node_major_index, node_major_shape};
-use crate::fault::FaultPlan;
+use crate::enumerate::{node_major_block, node_major_index, node_major_observer};
 use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
-use crate::op::Op;
+use crate::op::{Location, Op};
 use crate::sweep::supervisor::{
-    retry_once, sweep_supervised, CkptSink, Frontier, Kernel, Lane64, Merge, Quarantined, Scalar,
+    retry_once, run_supervised, CkptSink, Frontier, Kernel, Lane64, Merge, Quarantined, Scalar,
     Supervised, Supervisor, SweepStatus,
 };
-use crate::sweep::{for_each_labelling, materialize, LabelScratch, SweepConfig};
+use crate::sweep::{for_each_labelling, maps_for, materialize, LabelScratch, SweepConfig, Task};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 
 #[cfg(doc)]
-use crate::constructible::BoundedConstructible;
+use crate::{constructible::BoundedConstructible, fault::FaultPlan};
 
-/// One completed task's survivor-mask words: all `kⁿ` labellings of one
-/// poset, in labelling order, each labelling's mask starting on a fresh
-/// word boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MaskGroup {
-    /// Dense labelled-task index (position in the labelled task list).
+/// One initial dead end found by the census: node-major observer
+/// `observer` of op labelling `labelling` (the base-`k` number of the
+/// ops' alphabet positions, node 0 least significant) of the canonical
+/// poset with global index `task`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(missing_docs)]
+pub struct Seed {
     pub task: u64,
-    /// Mask words, concatenated per labelling.
-    pub words: Vec<u64>,
+    pub labelling: u64,
+    pub observer: u64,
 }
 
-/// Checkpointable Stage-A state of the lane fixpoint: the mask groups
-/// of every completed shard, in completion order.
-#[derive(Debug, Default)]
-pub struct MaskState {
-    /// Completed groups (unordered across tasks; each task appears once).
-    pub groups: Vec<MaskGroup>,
-    // High-water mark of groups already written to the journal, so each
-    // checkpoint record is incremental. Interior mutability because the
-    // encode hook only gets `&MaskState`; records are serialised under
-    // the supervisor's checkpoint mutex, so the `Cell` is never raced.
-    journaled: Cell<usize>,
+/// The checkpointable state of the census.
+#[derive(Clone, Debug, Default)]
+pub struct CensusState {
+    /// Per size: the orbit-weighted member count.
+    pub members: Vec<u64>,
+    /// Per size: the orbit-weighted count of initial dead ends.
+    pub dead: Vec<u64>,
+    /// The dead ends found on the canonical representatives.
+    pub seeds: Vec<Seed>,
+    /// Checks that panicked twice; their pairs are kept.
+    pub quarantined: Vec<Quarantined>,
 }
 
-impl Merge for MaskState {
-    fn merge(&mut self, other: Self) {
-        self.groups.extend(other.groups);
+impl CensusState {
+    fn new(sizes: usize) -> Self {
+        CensusState { members: vec![0; sizes], dead: vec![0; sizes], ..CensusState::default() }
     }
 }
 
-/// Serialises the groups completed since the last snapshot:
-/// `frontier ‖ ngroups ‖ (task ‖ nwords ‖ words…)*`.
-pub fn encode_masks_snapshot(frontier: &Frontier, state: &MaskState) -> Vec<u8> {
-    let from = state.journaled.get();
-    let fresh = &state.groups[from..];
+impl Merge for CensusState {
+    fn merge(&mut self, other: Self) {
+        for (d, s) in self.members.iter_mut().zip(other.members) {
+            *d += s;
+        }
+        for (d, s) in self.dead.iter_mut().zip(other.dead) {
+            *d += s;
+        }
+        self.seeds.extend(other.seeds);
+        self.quarantined.extend(other.quarantined);
+    }
+}
+
+/// Serialises one census snapshot: `frontier ‖ sizes ‖ (members ‖
+/// dead)* ‖ seeds ‖ (task ‖ labelling ‖ observer)* ‖ quarantined ‖
+/// (check ‖ size ‖ payload length ‖ payload)*`, every integer a
+/// little-endian u64.
+pub fn encode_census_snapshot(frontier: &Frontier, state: &CensusState) -> Vec<u8> {
     let mut out = Vec::new();
     frontier.encode_into(&mut out);
-    put_u64(&mut out, fresh.len() as u64);
-    for g in fresh {
-        put_u64(&mut out, g.task);
-        put_u64(&mut out, g.words.len() as u64);
-        for &w in &g.words {
-            put_u64(&mut out, w);
+    put_u64(&mut out, state.members.len() as u64);
+    for (&m, &d) in state.members.iter().zip(&state.dead) {
+        put_u64(&mut out, m);
+        put_u64(&mut out, d);
+    }
+    put_u64(&mut out, state.seeds.len() as u64);
+    for s in &state.seeds {
+        for v in [s.task, s.labelling, s.observer] {
+            put_u64(&mut out, v);
         }
     }
-    state.journaled.set(state.groups.len());
+    put_u64(&mut out, state.quarantined.len() as u64);
+    for q in &state.quarantined {
+        for v in [q.task_idx, q.size, q.payload.len()] {
+            put_u64(&mut out, v as u64);
+        }
+        out.extend_from_slice(q.payload.as_bytes());
+    }
     out
 }
 
-/// Folds every record of a fixpoint journal back into `(frontier,
-/// state)`. Records are incremental, so groups concatenate across
-/// records and the *last* record's frontier wins. Returns `None` on a
-/// torn or malformed journal.
-pub fn decode_masks_journal(ckpt: &Checkpoint) -> Option<(Frontier, MaskState)> {
-    let mut frontier = Frontier::default();
-    let mut groups = Vec::new();
-    for rec in &ckpt.snapshots {
-        let mut at: &[u8] = rec;
-        frontier = Frontier::decode_from(&mut at)?;
-        let n = get_u64(&mut at)? as usize;
-        for _ in 0..n {
-            let task = get_u64(&mut at)?;
-            let nwords = get_u64(&mut at)? as usize;
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(get_u64(&mut at)?);
-            }
-            groups.push(MaskGroup { task, words });
+/// Decodes a snapshot written by [`encode_census_snapshot`]; `None` if
+/// it is truncated, malformed or has trailing bytes.
+pub fn decode_census_snapshot(mut bytes: &[u8]) -> Option<(Frontier, CensusState)> {
+    let at = &mut bytes;
+    let frontier = Frontier::decode_from(at)?;
+    let mut state = CensusState::default();
+    for _ in 0..get_u64(at)?.min(64) {
+        state.members.push(get_u64(at)?);
+        state.dead.push(get_u64(at)?);
+    }
+    for _ in 0..get_u64(at)? {
+        let (task, labelling, observer) = (get_u64(at)?, get_u64(at)?, get_u64(at)?);
+        state.seeds.push(Seed { task, labelling, observer });
+    }
+    for _ in 0..get_u64(at)? {
+        let (task_idx, size, len) =
+            (get_u64(at)? as usize, get_u64(at)? as usize, get_u64(at)? as usize);
+        let payload = String::from_utf8(at.get(..len)?.to_vec()).ok()?;
+        *at = &at[len..];
+        state.quarantined.push(Quarantined { task_idx, size, payload });
+    }
+    at.is_empty().then_some((frontier, state))
+}
+
+/// Fills `mask` with `c`'s node-major member mask under `model`.
+pub(crate) fn member_mask<K: Kernel, M: MemoryModel>(
+    kernel: K,
+    model: &M,
+    c: &Computation,
+    x: &mut K::Scratch,
+    mask: &mut Vec<u64>,
+) {
+    mask.clear();
+    // Kernel words never span a 64-observer boundary, so each one lands
+    // whole in the current mask word.
+    let mut filled = 0u64;
+    kernel.words(std::slice::from_ref(model), c, x, true, |w| {
+        if filled.is_multiple_of(64) {
+            mask.push(0);
         }
-    }
-    let journaled = Cell::new(groups.len());
-    Some((frontier, MaskState { groups, journaled }))
+        *mask.last_mut().expect("a mask word was pushed") |= w.verdicts[0] << (filled % 64);
+        filled += u64::from(w.used.count_ones());
+    });
+    telemetry::count(Counter::LaneFixpointWords, mask.len() as u64);
 }
 
-impl MaskState {
-    fn group_for(&mut self, task: usize) -> &mut Vec<u64> {
-        if self.groups.last().is_none_or(|g| g.task != task as u64) {
-            self.groups.push(MaskGroup { task: task as u64, words: Vec::new() });
-        }
-        &mut self.groups.last_mut().expect("just pushed").words
-    }
-}
-
-// ---------------------------------------------------------------------
-// Layout: dense metadata for every labelled task and labelling.
-// ---------------------------------------------------------------------
-
-/// Per labelled computation: where its mask lives and how it factors
-/// through augmentation.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    /// First word of this labelling's mask in the arena.
-    off: u64,
-    /// Number of observers (mask bits; tail bits of the last word are 0).
-    observers: u32,
-    /// Block size `E`: product of the final node's slot radices. The
-    /// parent observer of bit `p` is bit `p / block` of the parent
-    /// entry, and conversely parent bit `q` extends to exactly
-    /// `[q·block, (q+1)·block)` here.
-    block: u32,
-}
-
-#[derive(Clone, Debug)]
-struct TaskMeta {
-    size: usize,
-    /// Index of this task's first entry; labellings are contiguous, one
-    /// entry per base-`k` op assignment (digit of node 0 fastest).
-    entry_base: usize,
-    /// Number of labellings, `k^size`.
-    labellings: u64,
-    /// Task whose poset is this one minus its final node — present iff
-    /// the final node succeeds every other node (the unique
-    /// augmentation parent shape).
-    parent: Option<u32>,
-    /// Task whose poset is this one plus a new final node above all —
-    /// present iff `size < max_nodes`.
-    aug: Option<u32>,
-}
-
-struct Layout {
-    k: usize,
-    metas: Vec<TaskMeta>,
-    entries: Vec<Entry>,
-    words_len: u64,
-    /// `(node count, closure bits over u<v pairs)` → task position.
-    key_map: HashMap<(u8, u64), u32>,
-}
-
-/// Bit-packs the edges among the first `n` nodes of a naturally
-/// labelled dag: pair `(u, v)` with `u < v` at bit `v(v−1)/2 + u`.
-fn sub_key(dag: &Dag, n: usize) -> u64 {
-    assert!(n <= 11, "lane fixpoint packs closures into u64 (≤ 11 nodes)");
-    let mut bits = 0u64;
-    let mut i = 0;
-    for v in 1..n {
-        for u in 0..v {
-            if dag.has_edge(NodeId::new(u), NodeId::new(v)) {
-                bits |= 1 << i;
-            }
-            i += 1;
-        }
-    }
-    bits
-}
-
-/// Key of `dag` augmented with a new final node above every node.
-fn aug_key(dag: &Dag) -> u64 {
-    let n = dag.node_count();
-    let mut bits = sub_key(dag, n);
-    let base = n * n.saturating_sub(1) / 2;
-    for u in 0..n {
-        bits |= 1 << (base + u);
-    }
-    bits
-}
-
-fn build_layout(u: &Universe) -> Layout {
-    let alphabet = u.alphabet();
-    let k = alphabet.len();
-    let tasks = materialize(u, false);
-    let mut key_map = HashMap::with_capacity(tasks.len());
-    for (pos, t) in tasks.iter().enumerate() {
-        debug_assert_eq!(t.idx, pos, "labelled tasks are dense");
-        key_map.insert((t.size as u8, sub_key(&t.dag, t.size)), pos as u32);
-    }
-    let identity: Vec<Vec<usize>> = vec![(0..k).collect()];
-    let mut scratch = LabelScratch::new();
-    let mut metas = Vec::with_capacity(tasks.len());
-    let mut entries = Vec::new();
-    let mut words_len = 0u64;
-    for t in &tasks {
-        let n = t.size;
-        let parent =
-            if n > 0 && (0..n - 1).all(|us| t.dag.has_edge(NodeId::new(us), NodeId::new(n - 1))) {
-                let key = (n as u8 - 1, sub_key(&t.dag, n - 1));
-                Some(*key_map.get(&key).expect("prefix poset is enumerated"))
-            } else {
-                None
-            };
-        let aug = if n < u.max_nodes {
-            let key = (n as u8 + 1, aug_key(&t.dag));
-            Some(*key_map.get(&key).expect("universe is closed under augmentation below the bound"))
-        } else {
-            None
-        };
-        let entry_base = entries.len();
-        let _ = for_each_labelling(&alphabet, &identity, t, &mut scratch, &mut |c, _w| {
-            let (observers, block) = node_major_shape(c);
-            entries.push(Entry {
-                off: words_len,
-                observers: u32::try_from(observers).expect("observer count fits u32"),
-                block: u32::try_from(block).expect("block size fits u32"),
-            });
-            words_len += observers.div_ceil(64);
-            ControlFlow::Continue(())
-        });
-        let labellings = (entries.len() - entry_base) as u64;
-        metas.push(TaskMeta { size: n, entry_base, labellings, parent, aug });
-    }
-    Layout { k, metas, entries, words_len, key_map }
-}
-
-fn entry_words(e: &Entry) -> usize {
-    (e.observers as usize).div_ceil(64)
-}
-
-/// Entries are laid out in task order, so the owning task of entry `e`
-/// is found by partition point on `entry_base`.
-fn owner(metas: &[TaskMeta], e: usize) -> usize {
-    metas.partition_point(|m| m.entry_base <= e) - 1
-}
-
-/// Copies completed mask groups into a zeroed arena. Tasks with no
-/// group (Stage-A quarantine kept the shard out of the state) are
-/// filled all-ones masked to their observer counts — the conservative
-/// *keep* that preserves the fixpoint's over-approximation invariant.
-fn fill_arena(layout: &Layout, state: MaskState) -> Vec<u64> {
-    let mut words = vec![0u64; layout.words_len as usize];
-    let mut have = vec![false; layout.metas.len()];
-    for g in state.groups {
-        let t = g.task as usize;
-        let meta = &layout.metas[t];
-        let start = layout.entries[meta.entry_base].off as usize;
-        let last = &layout.entries[meta.entry_base + meta.labellings as usize - 1];
-        let end = last.off as usize + entry_words(last);
-        assert!(!have[t], "task {t} journalled twice");
-        assert_eq!(end - start, g.words.len(), "mask group length mismatch for task {t}");
-        words[start..end].copy_from_slice(&g.words);
-        have[t] = true;
-    }
-    for (t, meta) in layout.metas.iter().enumerate() {
-        if have[t] {
-            continue;
-        }
-        for e in &layout.entries[meta.entry_base..meta.entry_base + meta.labellings as usize] {
-            let off = e.off as usize;
-            let nw = entry_words(e);
-            for w in &mut words[off..off + nw] {
-                *w = !0;
-            }
-            let tail = e.observers % 64;
-            if nw > 0 && tail != 0 {
-                words[off + nw - 1] = (1u64 << tail) - 1;
-            }
-        }
-    }
-    words
-}
-
-/// Whether the `len`-bit block starting at bit `start` of an entry's
-/// mask slice is all zeros. Counts the words it examines toward
+/// Whether the `len`-bit block starting at bit `start` of a mask is all
+/// zeros. Counts the words it examines toward
 /// [`Counter::LaneFixpointWords`].
 pub(crate) fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
     debug_assert!(len > 0);
@@ -345,201 +194,333 @@ pub(crate) fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
     true
 }
 
-// ---------------------------------------------------------------------
-// Stage A: mask materialisation under the supervisor.
-// ---------------------------------------------------------------------
+fn bit(mask: &[u64], p: u64) -> bool {
+    mask[(p / 64) as usize] >> (p % 64) & 1 == 1
+}
 
-fn materialize_masks<K: Kernel, M: MemoryModel + Sync>(
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    (0..mask.len() as u64 * 64).filter(|&p| bit(mask, p))
+}
+
+/// Working memory of the census checks (rebuilt after a panic), with the
+/// current poset's augmentation, relabelled in place per op.
+struct AugScratch<X> {
+    kernel: X,
+    mask: Vec<u64>,
+    ops: Vec<Op>,
+    /// `(poset index, its augmentation)`.
+    aug: Option<(usize, Computation)>,
+}
+
+/// The members of `c` (bits of `members`) that some augmentation leaves
+/// without a member extension. `c` labels the poset `task`, whose
+/// augmentation is `aug_dag`.
+fn dead_members<K: Kernel, M: MemoryModel>(
+    kernel: K,
+    model: &M,
+    c: &Computation,
+    (task, aug_dag): (usize, &Dag),
+    alphabet: &[Op],
+    members: &[u64],
+    x: &mut AugScratch<K::Scratch>,
+) -> Vec<u64> {
+    if members.iter().all(|&w| w == 0) {
+        return Vec::new();
+    }
+    if x.aug.as_ref().is_none_or(|&(t, _)| t != task) {
+        let mut aug = Computation::empty();
+        aug.retarget(aug_dag);
+        x.aug = Some((task, aug));
+    }
+    let (_, aug) = x.aug.as_mut().expect("just targeted");
+    let mut alive = members.to_vec();
+    for &op in alphabet {
+        x.ops.clear();
+        x.ops.extend_from_slice(c.ops());
+        x.ops.push(op);
+        aug.refresh_ops(&x.ops);
+        let block = node_major_block(aug);
+        member_mask(kernel, model, aug, &mut x.kernel, &mut x.mask);
+        for p in set_bits(members) {
+            if bit(&alive, p) && block_empty(&x.mask, p * block, block) {
+                alive[(p / 64) as usize] &= !(1 << (p % 64));
+            }
+        }
+    }
+    set_bits(members).filter(|&p| !bit(&alive, p)).collect()
+}
+
+/// The census over `tasks`, the canonical posets of `u`.
+#[allow(clippy::too_many_arguments)]
+fn census<K: Kernel, M: MemoryModel + Sync>(
     kernel: K,
     model: &M,
     u: &Universe,
+    tasks: Vec<Task>,
     cfg: &SweepConfig,
     sup: &Supervisor,
-    resume: Option<(Frontier, MaskState)>,
+    resume: Option<(Frontier, CensusState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
-) -> Supervised<MaskState> {
-    let encode = |s: &MaskState, f: &Frontier| encode_masks_snapshot(f, s);
+) -> Supervised<CensusState> {
+    let alphabet = u.alphabet();
+    let maps = maps_for(u, cfg, &alphabet);
+    let sizes = u.max_nodes + 1;
+    // Each poset below the bound numbers its labellings' checks from here.
+    // A poset of `n` nodes has one location-canonical labelling per
+    // location-permutation orbit: by Burnside, the mean of `fix(m)ⁿ`.
+    let fixed = |m: &Vec<usize>| (0..m.len()).filter(|&d| m[d] == d).count();
+    let (mut first_check, mut checks) = (HashMap::new(), 0);
+    for t in tasks.iter().filter(|t| t.size < u.max_nodes) {
+        first_check.insert(t.idx, checks);
+        checks += maps.iter().map(|m| fixed(m).pow(t.size as u32)).sum::<usize>() / maps.len();
+    }
+    let (frontier, initial) = resume.unwrap_or_else(|| (Frontier::new(), CensusState::new(sizes)));
+    assert_eq!(initial.members.len(), sizes, "census journal of another bound");
+    let encode = |s: &CensusState, f: &Frontier| encode_census_snapshot(f, s);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised(
-        u,
-        cfg,
-        sup,
-        resume,
-        sink,
-        MaskState::default,
-        || kernel.scratch(),
-        |acc, x, idx, c, _w| {
-            let words = acc.group_for(idx);
-            // Kernel words never span a 64-observer boundary, so each one
-            // lands whole in the labelling's current mask word.
-            let mut filled = 0u32;
-            kernel.words(std::slice::from_ref(model), c, x, true, |w| {
-                if filled.is_multiple_of(64) {
-                    telemetry::count(Counter::LaneFixpointWords, 1);
-                    words.push(0);
+    let fresh =
+        || AugScratch { kernel: kernel.scratch(), mask: Vec::new(), ops: Vec::new(), aug: None };
+    let (k, digit) = (alphabet.len() as u64, |op: &Op| alphabet.iter().position(|o| o == op));
+    let scan = |task: &Task, (ls, mask, x): &mut (LabelScratch, Vec<u64>, AugScratch<_>)| {
+        let (n, aug_dag) = (task.size, task.dag.augment());
+        let mut delta = CensusState::new(sizes);
+        let mut check = first_check.get(&task.idx).copied();
+        let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, weight| {
+            member_mask(kernel, model, c, &mut x.kernel, mask);
+            let members: u64 = mask.iter().map(|w| u64::from(w.count_ones())).sum();
+            delta.members[n] += weight * members;
+            let Some(i) = check else { return ControlFlow::Continue(()) };
+            check = Some(i + 1);
+            let attempt = |x: &mut AugScratch<K::Scratch>| {
+                sup.fault.before_fixpoint_check(i);
+                dead_members(kernel, model, c, (task.idx, &aug_dag), &alphabet, mask, x)
+            };
+            match retry_once(i, n, x, fresh, attempt) {
+                Err(q) => delta.quarantined.push(q),
+                Ok(dead) => {
+                    delta.dead[n] += weight * dead.len() as u64;
+                    let labelling = c.ops().iter().rev().fold(0, |acc, op| {
+                        acc * k + digit(op).expect("an op of the alphabet") as u64
+                    });
+                    let seed = |observer| Seed { task: task.idx as u64, labelling, observer };
+                    delta.seeds.extend(dead.into_iter().map(seed));
                 }
-                *words.last_mut().expect("a mask word was pushed") |=
-                    w.verdicts[0] << (filled % 64);
-                filled += w.used.count_ones();
-            });
+            }
+            ControlFlow::Continue(())
+        });
+        delta
+    };
+    run_supervised(
+        tasks,
+        cfg.threads,
+        cfg.deadline,
+        &sup.fault,
+        frontier,
+        initial,
+        sink,
+        || (LabelScratch::new(), Vec::new(), fresh()),
+        scan,
+        |g, d, _| {
+            g.merge(d);
+            ControlFlow::Continue(())
         },
     )
 }
 
-// ---------------------------------------------------------------------
-// Stage B: serial masked worklist cascade.
-// ---------------------------------------------------------------------
+/// Labelled pairs by computation, as node-major observer indices.
+type Pairs = HashMap<Computation, Vec<u64>>;
 
-struct FixOutcome {
-    passes: usize,
-    deleted: usize,
-    quarantined: Vec<Quarantined>,
-}
+/// Deleted pairs by computation, as node-major observer indices.
+type Deleted = HashMap<Computation, HashSet<u64>>;
 
-fn entry_slice<'a>(words: &'a [u64], e: &Entry) -> &'a [u64] {
-    &words[e.off as usize..e.off as usize + entry_words(e)]
-}
-
-fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOutcome {
-    // Initial full pass: for every surviving bit of every interior
-    // entry, test each op's extension block in the augmentation's mask.
-    // One interior *computation* is one supervised check, numbered in
-    // layout order, under `retry_once`: retried once, and quarantined —
-    // keeping its bits, which preserves the over-approximation
-    // `Δ* ⊆ result ⊆ Δ` — on a second panic.
-    let mut queue: Vec<(u32, u32)> = Vec::new();
-    let mut quarantined = Vec::new();
-    let mut check_idx = 0usize;
-    for meta in &layout.metas {
-        let Some(aug_task) = meta.aug else { continue };
-        let aug_meta = &layout.metas[aug_task as usize];
-        for ord in 0..meta.labellings {
-            let e = meta.entry_base + ord as usize;
-            let i = check_idx;
-            check_idx += 1;
-            let attempt = |_: &mut ()| {
-                fault.before_fixpoint_check(i);
-                let mut doomed: Vec<(u32, u32)> = Vec::new();
-                let entry = &layout.entries[e];
-                let off = entry.off as usize;
-                for wi in 0..entry_words(entry) {
-                    let mut w = words[off + wi];
-                    while w != 0 {
-                        let p = (wi as u32) * 64 + w.trailing_zeros();
-                        w &= w - 1;
-                        for j in 0..layout.k as u64 {
-                            let a = aug_meta.entry_base + (ord + j * meta.labellings) as usize;
-                            let ae = &layout.entries[a];
-                            let block = u64::from(ae.block);
-                            if block_empty(entry_slice(words, ae), u64::from(p) * block, block) {
-                                doomed.push((e as u32, p));
-                                break;
+/// Every labelled pair in the orbits of the (sorted) `seeds`, along each
+/// linear extension `t` (new node `j` is old node `t[j]`) and location
+/// permutation. An image is visited once: by model symmetry, its dead
+/// members are the image of its labelling's under any isomorphism.
+fn expand(
+    seeds: &[Seed],
+    posets: &HashMap<u64, Dag>,
+    alphabet: &[Op],
+    maps: &[Vec<usize>],
+) -> Pairs {
+    let k = alphabet.len() as u64;
+    // Where digit map `m` sends location `l`.
+    let moved = |m: &[usize], l: Location| {
+        let w =
+            alphabet.iter().position(|&o| o == Op::Write(l)).expect("every location is written");
+        alphabet[m[w]].location().expect("a write has a location")
+    };
+    // Images are keyed by `(nodes, closure bits, op digits)`: bit
+    // `b(b−1)/2 + a` is edge `a → b` (canonical posets have ≤ 10 nodes),
+    // and the op digits are base `k`, node 0 least significant.
+    let mut images = HashSet::new();
+    let mut out = Pairs::new();
+    for poset_seeds in seeds.chunk_by(|a, b| a.task == b.task) {
+        let dag = &posets[&poset_seeds[0].task];
+        let n = dag.node_count();
+        // Per labelling: its op digits and its dead members.
+        let labellings: Vec<(Vec<usize>, Vec<ObserverFunction>)> = poset_seeds
+            .chunk_by(|a, b| a.labelling == b.labelling)
+            .map(|group| {
+                let digits: Vec<usize> =
+                    (0..n).map(|v| (group[0].labelling / k.pow(v as u32) % k) as usize).collect();
+                let ops = digits.iter().map(|&d| alphabet[d]).collect();
+                let c = Computation::new(dag.clone(), ops).expect("one op per node");
+                let seed = |s: &Seed| node_major_observer(&c, s.observer).expect("an observer");
+                (digits, group.iter().map(seed).collect())
+            })
+            .collect();
+        let (mut image, mut pos, mut ops) = (Computation::empty(), vec![0; n], Vec::new());
+        let _ = for_each_topo_sort(dag, |t| {
+            for (j, v) in t.iter().enumerate() {
+                pos[v.index()] = j;
+            }
+            let edges: Vec<(usize, usize)> =
+                dag.edges().map(|(a, b)| (pos[a.index()], pos[b.index()])).collect();
+            let dag_key = edges.iter().fold(0u64, |key, &(a, b)| key | 1 << (b * (b - 1) / 2 + a));
+            let mut targeted = false;
+            for (digits, phis) in &labellings {
+                for m in maps {
+                    let op_key =
+                        t.iter().rev().fold(0, |key, v| key * k + m[digits[v.index()]] as u64);
+                    if !images.insert((n, dag_key, op_key)) {
+                        continue;
+                    }
+                    if !targeted {
+                        image.retarget(&Dag::from_edges(n, &edges).expect("a relabelled dag"));
+                        targeted = true;
+                    }
+                    ops.clear();
+                    ops.extend(t.iter().map(|v| alphabet[m[digits[v.index()]]]));
+                    image.refresh_ops(&ops);
+                    let relabel = |phi: &ObserverFunction| {
+                        let mut phi2 = ObserverFunction::base(&image);
+                        for l in (0..phi.num_locations()).map(Location::new) {
+                            for (u, &j) in pos.iter().enumerate() {
+                                if let Some(w) = phi.get(l, NodeId::new(u)) {
+                                    let seen = Some(NodeId::new(pos[w.index()]));
+                                    phi2.set(moved(m, l), NodeId::new(j), seen);
+                                }
                             }
                         }
-                    }
-                }
-                doomed
-            };
-            match retry_once(i, meta.size, &mut (), || (), attempt) {
-                Ok(doomed) => queue.extend(doomed),
-                Err(q) => quarantined.push(q),
-            }
-        }
-    }
-
-    // Cascade: clear a round of bits, push the unique augmentation
-    // parent of each cleared bit for re-check, evaluate re-checks after
-    // the round. `passes` counts the initial pass plus every round that
-    // queued a deletion.
-    let mut passes = 1;
-    let mut deleted = 0usize;
-    telemetry::count(Counter::WorklistPushes, queue.len() as u64);
-    while !queue.is_empty() {
-        telemetry::count(Counter::WorklistPops, queue.len() as u64);
-        let mut recheck: Vec<(u32, u32, u32)> = Vec::new();
-        for (e, p) in queue.drain(..) {
-            let entry = &layout.entries[e as usize];
-            let w = entry.off as usize + (p / 64) as usize;
-            let m = 1u64 << (p % 64);
-            if words[w] & m == 0 {
-                continue; // deleted earlier this cascade
-            }
-            words[w] &= !m;
-            deleted += 1;
-            telemetry::count(Counter::LaneDeletionsMasked, 1);
-            let t = owner(&layout.metas, e as usize);
-            let meta = &layout.metas[t];
-            if let Some(pt) = meta.parent {
-                let pmeta = &layout.metas[pt as usize];
-                let ord = e as usize - meta.entry_base;
-                let pe = pmeta.entry_base + ord % pmeta.labellings as usize;
-                let pb = p / entry.block;
-                let pentry = &layout.entries[pe];
-                debug_assert_eq!(
-                    u64::from(pentry.observers) * u64::from(entry.block),
-                    u64::from(entry.observers),
-                    "augmentation factorisation"
-                );
-                let pw = pentry.off as usize + (pb / 64) as usize;
-                if words[pw] & (1u64 << (pb % 64)) != 0 {
-                    recheck.push((pe as u32, pb, e));
+                        node_major_index(&image, &phi2).expect("relabelling keeps an observer")
+                    };
+                    out.insert(image.clone(), phis.iter().map(relabel).collect());
                 }
             }
-        }
-        let mut next: Vec<(u32, u32)> = Vec::new();
-        for (pe, pb, ce) in recheck {
-            let pentry = &layout.entries[pe as usize];
-            let pw = pentry.off as usize + (pb / 64) as usize;
-            if words[pw] & (1u64 << (pb % 64)) == 0 {
-                continue;
-            }
-            let centry = &layout.entries[ce as usize];
-            let block = u64::from(centry.block);
-            if block_empty(entry_slice(words, centry), u64::from(pb) * block, block) {
-                next.push((pe, pb));
-            }
-        }
-        queue = next;
-        telemetry::count(Counter::WorklistPushes, queue.len() as u64);
-        if !queue.is_empty() {
-            passes += 1;
-        }
+            ControlFlow::Continue(())
+        });
     }
-    FixOutcome { passes, deleted, quarantined }
+    out
 }
 
-// ---------------------------------------------------------------------
-// Public result type.
-// ---------------------------------------------------------------------
+/// `c` minus its final node, if that node succeeds every other node —
+/// the unique computation `c` is an augmentation of.
+fn augmentation_parent(c: &Computation) -> Option<Computation> {
+    let last = c.last_node()?;
+    if !c.nodes().take(last.index()).all(|v| c.precedes(v, last)) {
+        return None;
+    }
+    let mut keep = BitSet::full(c.node_count());
+    keep.remove(last.index());
+    Some(c.prefix(&keep).expect("dropping a maximal node keeps a prefix").0)
+}
 
-/// The bounded Δ* fixpoint computed lane-parallel over mask words.
-/// Survivors and `deleted` are identical to the naïve
-/// [`BoundedConstructible::compute`] on the same universe.
+/// Deletes the expanded `seeds` (which must match the census's `dead`
+/// counts), then re-checks parents round by round until a round deletes
+/// nothing. Returns the passes, the deletions per size and the pairs.
+fn cascade<K: Kernel, M: MemoryModel>(
+    kernel: K,
+    model: &M,
+    seeds: Pairs,
+    dead: &[u64],
+) -> (usize, Vec<u64>, Deleted) {
+    let mut deleted = Deleted::new();
+    let mut deleted_of_size = vec![0u64; dead.len()];
+    let mut x = kernel.scratch();
+    let (mut queue, mut passes) = (seeds, 0);
+    loop {
+        passes += 1;
+        let queued = queue.values().map(|ps| ps.len() as u64).sum();
+        telemetry::count(Counter::WorklistPushes, queued);
+        telemetry::count(Counter::WorklistPops, queued);
+        // Delete the round, noting each fresh deletion's parent bit.
+        let mut rechecks = Vec::new();
+        for (c, ps) in queue {
+            let set = deleted.entry(c.clone()).or_default();
+            let fresh: Vec<u64> = ps.into_iter().filter(|&p| set.insert(p)).collect();
+            deleted_of_size[c.node_count()] += fresh.len() as u64;
+            telemetry::count(Counter::LaneDeletionsMasked, fresh.len() as u64);
+            if let (false, Some(parent)) = (fresh.is_empty(), augmentation_parent(&c)) {
+                let block = node_major_block(&c);
+                let mut pbs: Vec<u64> = fresh.iter().map(|p| p / block).collect();
+                pbs.sort_unstable();
+                pbs.dedup();
+                rechecks.push((c, parent, block, pbs));
+            }
+        }
+        if passes == 1 {
+            assert_eq!(deleted_of_size, dead, "seed expansion disagrees with the census");
+        }
+        // Re-check each touched parent block against the child's
+        // surviving members. Siblings share their parent's mask.
+        let surviving = |c: &Computation, x: &mut K::Scratch| {
+            let mut mask = Vec::new();
+            member_mask(kernel, model, c, x, &mut mask);
+            for &p in deleted.get(c).into_iter().flatten() {
+                mask[(p / 64) as usize] &= !(1 << (p % 64));
+            }
+            mask
+        };
+        let mut parents = HashMap::new();
+        queue = Pairs::new();
+        for (child, parent, block, mut pbs) in rechecks {
+            let child_mask = surviving(&child, &mut x);
+            let parent_mask =
+                parents.entry(parent.clone()).or_insert_with(|| surviving(&parent, &mut x));
+            pbs.retain(|&pb| bit(parent_mask, pb) && block_empty(&child_mask, pb * block, block));
+            if !pbs.is_empty() {
+                queue.entry(parent).or_default().extend(pbs);
+            }
+        }
+        if queue.is_empty() {
+            return (passes, deleted_of_size, deleted);
+        }
+    }
+}
+
+/// The bounded Δ* fixpoint: the model's pairs minus the deleted ones.
+/// Survivors, `deleted` and `passes` match the naïve
+/// [`BoundedConstructible::compute`] on the same universe for every
+/// model invariant under poset isomorphism and location permutation.
 pub struct LaneConstructible {
+    model: Box<dyn MemoryModel + Send + Sync>,
     alphabet: Vec<Op>,
-    metas: Vec<TaskMeta>,
-    entries: Vec<Entry>,
-    key_map: HashMap<(u8, u64), u32>,
-    words: Vec<u64>,
+    members: Vec<u64>,
+    deleted_of_size: Vec<u64>,
+    deleted_pairs: Deleted,
     /// The universe bound the fixpoint was computed at.
     pub max_nodes: usize,
-    /// Worklist rounds (initial pass + cascade generations).
+    /// Deletion rounds: the seed round plus every cascade round that
+    /// deleted something.
     pub passes: usize,
     /// Pairs deleted by the fixpoint.
     pub deleted: usize,
-    /// Stage-A shard and Stage-B check quarantine reports (empty on a
-    /// clean run). Stage-B entries use initial-pass check indices.
+    /// Census task and check quarantine reports (empty on a clean run).
+    /// Check entries carry their check number as `task_idx`. A
+    /// quarantined task's members are missing from the counts, as in the
+    /// memberships phase; a quarantined check's pairs are kept.
     pub quarantined: Vec<Quarantined>,
 }
 
 impl LaneConstructible {
-    fn empty(u: &Universe) -> Self {
+    fn new<M: MemoryModel + Clone + Send + Sync + 'static>(model: &M, u: &Universe) -> Self {
         LaneConstructible {
+            model: Box::new(model.clone()),
             alphabet: u.alphabet(),
-            metas: Vec::new(),
-            entries: Vec::new(),
-            key_map: HashMap::new(),
-            words: Vec::new(),
+            members: Vec::new(),
+            deleted_of_size: Vec::new(),
+            deleted_pairs: Deleted::new(),
             max_nodes: u.max_nodes,
             passes: 0,
             deleted: 0,
@@ -549,100 +530,95 @@ impl LaneConstructible {
 
     /// Computes the fixpoint with the lane kernel, panicking unless the
     /// run completes cleanly. See [`Self::compute_supervised`].
-    pub fn compute<M: MemoryModel + Sync>(model: &M, u: &Universe, cfg: &SweepConfig) -> Self {
+    pub fn compute<M: MemoryModel + Clone + Send + Sync + 'static>(
+        model: &M,
+        u: &Universe,
+        cfg: &SweepConfig,
+    ) -> Self {
         Self::compute_supervised(model, u, cfg, &Supervisor::none(), None, None, true)
             .expect_complete("lane Δ* fixpoint")
     }
 
-    /// Computes the fixpoint under full supervision: Stage A
-    /// (materialisation) honours deadlines, checkpoints to `ckpt`
-    /// (`(writer, every)`), resumes from a decoded journal, and
-    /// quarantines panicking shards (their masks are conservatively
-    /// kept all-ones); Stage B quarantines one interior computation's
-    /// check at a time. `lanes` selects the lane kernel
-    /// ([`MemoryModel::contains_lanes`]) or the scalar kernel for Stage
-    /// A — the journals and results are bit-identical either way, so a
-    /// journal written by one engine resumes under the other.
-    ///
-    /// A `Killed`/`Partial` Stage A returns an empty value carrying the
-    /// status and frontier; the fixpoint only runs on a complete
-    /// (possibly degraded) materialisation.
-    pub fn compute_supervised<M: MemoryModel + Sync>(
+    /// Computes the fixpoint under full supervision: the census honours
+    /// `cfg`'s threads and deadline (but is always canonical),
+    /// checkpoints to `ckpt` (`(writer, every)`), resumes from a decoded
+    /// snapshot, and quarantines panicking tasks and checks. `lanes`
+    /// selects the [`Lane64`] or the [`Scalar`] kernel, with identical
+    /// results and journals. A `Killed`/`Partial` census returns an empty
+    /// value; the cascade runs only on a complete (or degraded) one.
+    pub fn compute_supervised<M: MemoryModel + Clone + Send + Sync + 'static>(
         model: &M,
         u: &Universe,
         cfg: &SweepConfig,
         sup: &Supervisor,
-        resume: Option<(Frontier, MaskState)>,
+        resume: Option<(Frontier, CensusState)>,
         ckpt: Option<(&mut CkptWriter, usize)>,
         lanes: bool,
     ) -> Supervised<Self> {
-        // The fixpoint keys survivors by labelled computation (every
-        // augmentation parent must be present), so Stage A always runs
-        // the labelled enumeration, even under a canonical config.
-        let cfg = &SweepConfig { canonical: false, ..*cfg };
-        let stage_a = if lanes {
-            materialize_masks(Lane64, model, u, cfg, sup, resume, ckpt)
+        let cfg = &SweepConfig { canonical: true, ..*cfg };
+        if lanes {
+            Self::run(Lane64, model, u, cfg, sup, resume, ckpt)
         } else {
-            materialize_masks(Scalar, model, u, cfg, sup, resume, ckpt)
-        };
-        if matches!(stage_a.status, SweepStatus::Partial | SweepStatus::Killed) {
-            return stage_a.map(|_| Self::empty(u));
+            Self::run(Scalar, model, u, cfg, sup, resume, ckpt)
         }
-        let Supervised { value, mut status, mut quarantined, frontier, total_tasks, ckpt_error } =
-            stage_a;
-        let layout = build_layout(u);
-        let mut words = fill_arena(&layout, value);
-        let out = run_fixpoint(&layout, &mut words, &sup.fault);
-        if !out.quarantined.is_empty() {
-            status = status.max(SweepStatus::Degraded);
-        }
-        quarantined.extend(out.quarantined);
-        let value = LaneConstructible {
-            alphabet: u.alphabet(),
-            metas: layout.metas,
-            entries: layout.entries,
-            key_map: layout.key_map,
-            words,
-            max_nodes: u.max_nodes,
-            passes: out.passes,
-            deleted: out.deleted,
-            quarantined: quarantined.clone(),
-        };
-        telemetry::count(Counter::LaneSurvivorPop, value.total_pairs() as u64);
-        Supervised { value, status, quarantined, frontier, total_tasks, ckpt_error }
     }
 
-    /// Whether `(c, phi)` survived the fixpoint. Matches the naïve
-    /// [`BoundedConstructible::contains`] on every computation of the
-    /// universe: an unknown shape (too large, backward edge, op outside
-    /// the alphabet, non-enumerated closure) is simply not a survivor.
-    pub fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
-        let n = c.node_count();
-        if n > self.max_nodes || n > 11 {
-            return false;
+    fn run<K: Kernel, M: MemoryModel + Clone + Send + Sync + 'static>(
+        kernel: K,
+        model: &M,
+        u: &Universe,
+        cfg: &SweepConfig,
+        sup: &Supervisor,
+        resume: Option<(Frontier, CensusState)>,
+        ckpt: Option<(&mut CkptWriter, usize)>,
+    ) -> Supervised<Self> {
+        let tasks = materialize(u, true);
+        let posets: HashMap<u64, Dag> =
+            tasks.iter().map(|t| (t.idx as u64, t.dag.clone())).collect();
+        let mut out = census(kernel, model, u, tasks, cfg, sup, resume, ckpt);
+        if matches!(out.status, SweepStatus::Partial | SweepStatus::Killed) {
+            return out.map(|_| Self::new(model, u));
         }
-        for (a, b) in c.dag().edges() {
-            if a.index() >= b.index() {
-                return false; // tasks are naturally labelled
-            }
+        let mut checks = std::mem::take(&mut out.value.quarantined);
+        checks.sort_by_key(|q| q.task_idx);
+        if !checks.is_empty() {
+            out.status = out.status.max(SweepStatus::Degraded);
         }
-        let Some(&t) = self.key_map.get(&(n as u8, sub_key(c.dag(), n))) else {
-            return false;
-        };
-        let meta = &self.metas[t as usize];
-        let mut ord = 0u64;
-        for v in (0..n).rev() {
-            let Some(d) = self.alphabet.iter().position(|&o| o == c.op(NodeId::new(v))) else {
-                return false;
+        out.quarantined.extend(checks);
+        let quarantined = out.quarantined.clone();
+        out.map(|mut state| {
+            state.seeds.sort_unstable();
+            let alphabet = u.alphabet();
+            let seeds = expand(&state.seeds, &posets, &alphabet, &maps_for(u, cfg, &alphabet));
+            let (passes, deleted_of_size, deleted_pairs) =
+                cascade(kernel, model, seeds, &state.dead);
+            let value = LaneConstructible {
+                members: state.members,
+                deleted: deleted_of_size.iter().sum::<u64>() as usize,
+                deleted_of_size,
+                deleted_pairs,
+                passes,
+                quarantined,
+                ..Self::new(model, u)
             };
-            ord = ord * self.alphabet.len() as u64 + d as u64;
-        }
-        let e = &self.entries[meta.entry_base + ord as usize];
-        let Some(p) = node_major_index(c, phi) else {
-            return false;
-        };
-        debug_assert!(p < u64::from(e.observers));
-        self.words[e.off as usize + (p / 64) as usize] & (1u64 << (p % 64)) != 0
+            telemetry::count(Counter::LaneSurvivorPop, value.total_pairs() as u64);
+            value
+        })
+    }
+
+    /// Whether `(c, phi)` survived the fixpoint, as the naïve
+    /// [`BoundedConstructible::contains`]: a computation outside the
+    /// universe (too large, not a naturally labelled closure, an op
+    /// outside the alphabet) has no survivors.
+    pub fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
+        let in_universe = c.node_count() <= self.max_nodes
+            && c.ops().iter().all(|o| self.alphabet.contains(o))
+            && c.nodes()
+                .all(|a| c.nodes().all(|b| c.dag().has_edge(a, b) == (a < b && c.precedes(a, b))));
+        let deleted = |s: &HashSet<u64>| node_major_index(c, phi).is_some_and(|p| s.contains(&p));
+        in_universe
+            && self.model.contains(c, phi)
+            && !self.deleted_pairs.get(c).is_some_and(deleted)
     }
 
     /// Compares the survivors of size `n` against `model`, over every
@@ -656,36 +632,32 @@ impl LaneConstructible {
         size_agreement(|c, phi| self.contains(c, phi), model, n, u)
     }
 
-    /// Total surviving pairs (mask population count).
+    /// Total surviving pairs.
     pub fn total_pairs(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        (0..self.members.len()).map(|n| self.pairs_of_size(n)).sum()
     }
 
     /// Surviving pairs for computations of exactly `n` nodes.
     pub fn pairs_of_size(&self, n: usize) -> usize {
-        self.metas
-            .iter()
-            .filter(|m| m.size == n)
-            .flat_map(|m| &self.entries[m.entry_base..m.entry_base + m.labellings as usize])
-            .map(|e| {
-                entry_slice(&self.words, e).iter().map(|w| w.count_ones() as usize).sum::<usize>()
-            })
-            .sum()
+        let members = self.members.get(n).copied().unwrap_or(0);
+        members.saturating_sub(self.deleted_of_size.get(n).copied().unwrap_or(0)) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::Checkpoint;
     use crate::constructible::BoundedConstructible;
     use crate::enumerate::for_each_observer;
+    use crate::fault::FaultPlan;
     use crate::model::{Lc, Model, Nn, Sc};
 
     fn cfg(threads: usize) -> SweepConfig {
         SweepConfig { threads, ..SweepConfig::default() }
     }
 
-    /// Asserts that the mask fixpoint kept exactly the naïve reference's
+    /// Asserts that the fixpoint kept exactly the naïve reference's
     /// survivors, pair by pair over the universe. The naïve re-scan
     /// counts one more pass than the cascade whenever it deleted
     /// anything: its final, deletion-free pass.
@@ -710,6 +682,13 @@ mod tests {
         });
     }
 
+    /// Asserts two fixpoint results are the same, deleted pair for pair.
+    fn assert_same(a: &LaneConstructible, b: &LaneConstructible) {
+        assert_eq!((a.members.as_slice(), a.passes), (b.members.as_slice(), b.passes));
+        assert_eq!(a.deleted_of_size, b.deleted_of_size);
+        assert_eq!(a.deleted_pairs, b.deleted_pairs);
+    }
+
     #[test]
     fn lane_fixpoint_matches_naive_for_nn() {
         for &(b, l, threads) in &[(3, 1, 1), (4, 1, 1), (4, 1, 4), (3, 2, 1)] {
@@ -722,7 +701,7 @@ mod tests {
     #[test]
     fn lane_fixpoint_matches_naive_for_constructible_models() {
         // A constructible model is its own fixpoint: nothing is deleted
-        // and the initial pass is the only one.
+        // and the seed round is the only one.
         let u = Universe::new(3, 1);
         let lc = LaneConstructible::compute(&Lc, &u, &cfg(2));
         assert_matches_naive(&Lc, &u, &lc);
@@ -730,7 +709,8 @@ mod tests {
         let sc = LaneConstructible::compute(&Sc, &u, &cfg(2));
         assert_matches_naive(&Sc, &u, &sc);
         // Two locations as well: an augmentation's final node then has
-        // one observer slot per location.
+        // one observer slot per location, and the census folds location
+        // permutations.
         let u2 = Universe::new(3, 2);
         for threads in [2, 4] {
             let lane = LaneConstructible::compute(&Lc, &u2, &cfg(threads));
@@ -763,9 +743,55 @@ mod tests {
         }
     }
 
+    /// NN minus a banned set of pairs on 1-location chain computations.
+    /// A chain has one natural labelling and one location permutation
+    /// applies, so the model keeps both symmetries the census needs.
+    #[derive(Clone)]
+    struct NnMinus(HashSet<(Computation, ObserverFunction)>);
+
+    impl MemoryModel for NnMinus {
+        fn name(&self) -> &str {
+            "NN-minus"
+        }
+
+        fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
+            Nn::default().contains(c, phi) && !self.0.contains(&(c.clone(), phi.clone()))
+        }
+    }
+
     #[test]
-    fn scalar_kernel_stage_a_is_bit_identical_to_lanes() {
+    fn cascade_rounds_match_the_naive_rescan() {
+        // Ban the one observer of the 4-write chain. The 3-write chain
+        // then has no extension under W: a seed. Its death empties the
+        // W block of the 2-write chain, whose death empties that of the
+        // 1-write chain, and so on down to ε: four deletion rounds, of
+        // which the cascade finds three.
+        let w = Op::Write(Location::new(0));
+        let chain = (0..4).fold(Computation::empty(), |c, _| c.augment(w));
+        let ban = HashSet::from([(chain.clone(), ObserverFunction::base(&chain))]);
+        let model = NnMinus(ban);
         let u = Universe::new(4, 1);
+        let naive = BoundedConstructible::compute(&model, &u);
+        assert!(naive.passes >= 3, "the naïve re-scan needs ≥ 2 deletion rounds");
+        for lanes in [false, true] {
+            let fix = LaneConstructible::compute_supervised(
+                &model,
+                &u,
+                &cfg(2),
+                &Supervisor::none(),
+                None,
+                None,
+                lanes,
+            )
+            .expect_complete("cascade fixpoint");
+            assert_eq!((fix.deleted, fix.passes), (4, 4));
+            assert_matches_naive(&model, &u, &fix);
+        }
+    }
+
+    #[test]
+    fn scalar_kernel_census_matches_lanes() {
+        let u = Universe::new(5, 1);
         let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
         let scalar_kernel = LaneConstructible::compute_supervised(
             &Nn::default(),
@@ -777,16 +803,32 @@ mod tests {
             false,
         )
         .expect_complete("scalar-kernel fixpoint");
-        assert_eq!(lane.words, scalar_kernel.words);
-        assert_eq!(lane.deleted, scalar_kernel.deleted);
-        assert_eq!(lane.passes, scalar_kernel.passes);
+        assert_same(&lane, &scalar_kernel);
+    }
+
+    #[test]
+    fn census_snapshot_round_trips() {
+        let mut frontier = Frontier::new();
+        frontier.insert(3);
+        let state = CensusState {
+            members: vec![1, 2, 3],
+            dead: vec![0, 1, 0],
+            seeds: vec![Seed { task: 3, labelling: 7, observer: 1 }],
+            quarantined: vec![Quarantined { task_idx: 9, size: 2, payload: "boom ü".into() }],
+        };
+        let bytes = encode_census_snapshot(&frontier, &state);
+        let (f, s) = decode_census_snapshot(&bytes).expect("decodes");
+        assert_eq!(f, frontier);
+        assert_eq!((s.members, s.dead, s.seeds), (state.members, state.dead, state.seeds));
+        assert_eq!(s.quarantined[0].payload, "boom ü");
+        assert!(decode_census_snapshot(&bytes[..bytes.len() - 1]).is_none());
     }
 
     #[test]
     fn kill_and_resume_is_bit_identical_across_engines() {
         let path = std::env::temp_dir().join(format!("ccmm-lanefix-resume-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let u = Universe::new(4, 1);
+        let u = Universe::new(5, 1);
         let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
 
         let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
@@ -804,7 +846,8 @@ mod tests {
         drop(writer);
 
         let ckpt = Checkpoint::load(&path).expect("journal readable");
-        let (frontier, state) = decode_masks_journal(&ckpt).expect("journal decodes");
+        let (frontier, state) =
+            decode_census_snapshot(ckpt.latest().expect("a record")).expect("journal decodes");
         assert!(!frontier.is_empty(), "kill happened after a checkpoint");
         // Resume with the *scalar* kernel: journals interoperate.
         let mut writer = CkptWriter::append_to(&path).expect("reopen journal");
@@ -818,47 +861,53 @@ mod tests {
             false,
         )
         .expect_complete("resumed fixpoint");
-        assert_eq!(resumed.words, clean.words);
-        assert_eq!(resumed.deleted, clean.deleted);
-        assert_eq!(resumed.passes, clean.passes);
+        assert_same(&resumed, &clean);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn fixpoint_quarantine_keeps_bits_and_degrades() {
-        // A persistent panic in one initial-pass check must not abort the
-        // fixpoint: the computation is quarantined (bits kept) and the
-        // result stays a sound over-approximation.
-        let u = Universe::new(4, 1);
+    fn fixpoint_quarantine_keeps_pairs_and_degrades() {
+        // A persistent panic in one check must not abort the fixpoint:
+        // the check is quarantined (its pairs kept) and the result stays
+        // a sound over-approximation. Check 0 is ε at bound 5; the other
+        // is the first labelling with a dead end. With one location every
+        // labelling is checked, `3ⁿ` per interior poset of `n` nodes.
+        let u = Universe::new(5, 1);
         let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
-        let sup = Supervisor::with_fault(FaultPlan::none().panic_at_fixpoint(0));
-        let out = LaneConstructible::compute_supervised(
-            &Nn::default(),
-            &u,
-            &cfg(2),
-            &sup,
-            None,
-            None,
-            false,
-        );
-        assert_eq!(out.status, SweepStatus::Degraded);
-        assert_eq!(out.quarantined.len(), 1);
-        assert_eq!(out.quarantined[0].task_idx, 0);
-        assert!(out.quarantined[0].payload.contains("fixpoint check 0"));
-        // Quarantine keeps pairs: never fewer survivors than the clean
-        // run, and every survivor is still in the model.
-        assert!(out.value.total_pairs() >= clean.total_pairs());
-        let _ = u.for_each_computation(|c| {
-            let _ = for_each_observer(c, |phi| {
-                if out.value.contains(c, phi) {
-                    assert!(Nn::default().contains(c, phi), "quarantine broke fixpoint ⊆ NN");
+        let (tasks, none) = (materialize(&u, true), Supervisor::none());
+        let state =
+            census(Lane64, &Nn::default(), &u, materialize(&u, true), &cfg(2), &none, None, None);
+        let seed = state.value.seeds.iter().min().expect("NN has dead ends at bound 5");
+        let earlier = tasks.iter().filter(|t| t.size < 5 && (t.idx as u64) < seed.task);
+        let dead_check =
+            earlier.map(|t| 3usize.pow(t.size as u32)).sum::<usize>() + seed.labelling as usize;
+        for check in [0, dead_check] {
+            let sup = Supervisor::with_fault(FaultPlan::none().panic_at_fixpoint(check));
+            let out = LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg(2),
+                &sup,
+                None,
+                None,
+                false,
+            );
+            assert_eq!(out.status, SweepStatus::Degraded);
+            assert_eq!(out.quarantined.len(), 1);
+            assert_eq!(out.quarantined[0].task_idx, check);
+            assert!(out.quarantined[0].payload.contains(&format!("fixpoint check {check}")));
+            // Quarantine keeps pairs: never fewer survivors than the
+            // clean run, and every survivor is still in the model.
+            assert!(out.value.total_pairs() >= clean.total_pairs());
+            assert_eq!(out.value.deleted < clean.deleted, check == dead_check);
+            for (c, ps) in &out.value.deleted_pairs {
+                for p in ps {
+                    assert!(clean.deleted_pairs[c].contains(p), "quarantine deleted more");
                 }
-                ControlFlow::Continue(())
-            });
-            ControlFlow::Continue(())
-        });
+            }
+        }
         // A healing fault (panics once, the retry succeeds) is not
-        // degraded, and its masks are the clean run's, bit for bit.
+        // degraded, and its result is the clean run's.
         let sup = Supervisor::with_fault(FaultPlan::none().panic_once_at_fixpoint(1));
         let healed = LaneConstructible::compute_supervised(
             &Nn::default(),
@@ -871,6 +920,6 @@ mod tests {
         );
         assert_eq!(healed.status, SweepStatus::Complete);
         assert!(healed.quarantined.is_empty());
-        assert_eq!(healed.value.words, clean.words);
+        assert_same(&healed.value, &clean);
     }
 }

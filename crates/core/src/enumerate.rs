@@ -84,24 +84,15 @@ where
     recurse(&slots, 0, &mut phi, &mut f)
 }
 
-/// The shape of `c`'s node-major enumeration: `(observers, block)`,
-/// where `observers` is the total count of valid observer functions and
-/// `block` is the product of the last node's slot radices — the size `E`
+/// The product of the last node's slot radices (1 for ε): the size `E`
 /// of one contiguous extension block when `c` is an augmentation whose
-/// last node succeeds every other node. `block` is 1 for the empty
-/// computation.
-pub fn node_major_shape(c: &Computation) -> (u64, u64) {
-    let last = c.last_node();
-    let mut observers = 1u64;
-    let mut block = 1u64;
-    for (_, u, cands) in free_slots_node_major(c) {
-        let r = cands.len() as u64;
-        observers = observers.checked_mul(r).expect("observer count overflows u64");
-        if Some(u) == last {
-            block *= r;
-        }
-    }
-    (observers, block)
+/// last node succeeds every other node.
+pub fn node_major_block(c: &Computation) -> u64 {
+    let Some(last) = c.last_node() else { return 1 };
+    c.locations()
+        .filter(|&l| !c.op(last).is_write_to(l))
+        .map(|l| 1 + c.writes_to(l).iter().filter(|&&w| !c.precedes(last, w)).count() as u64)
+        .product()
 }
 
 /// The node-major enumeration index of `phi` among `c`'s valid observer
@@ -113,6 +104,18 @@ pub fn node_major_index(c: &Computation, phi: &ObserverFunction) -> Option<u64> 
         return None;
     }
     slot_index(&free_slots_node_major(c), phi)
+}
+
+/// The `p`-th observer function of `c` in node-major order — the inverse
+/// of [`node_major_index`] — or `None` if `c` has at most `p` of them.
+pub fn node_major_observer(c: &Computation, mut p: u64) -> Option<ObserverFunction> {
+    let mut phi = ObserverFunction::base(c);
+    for (l, u, cands) in free_slots_node_major(c).iter().rev() {
+        let r = cands.len() as u64;
+        phi.set(*l, *u, cands[(p % r) as usize]);
+        p /= r;
+    }
+    (p == 0).then_some(phi)
 }
 
 /// The [`for_each_observer`] (location-major) enumeration index of
@@ -323,12 +326,14 @@ mod tests {
                 assert!(set.contains(phi));
             }
             // Index functions agree with the enumeration positions.
-            let (observers, block) = node_major_shape(c);
+            let (observers, block) = (count_observers(c) as u64, node_major_block(c));
             assert_eq!(observers as usize, nm.len());
             assert!(block >= 1 && observers % block == 0);
             for (i, phi) in nm.iter().enumerate() {
                 assert_eq!(node_major_index(c, phi), Some(i as u64));
+                assert_eq!(node_major_observer(c, i as u64).as_ref(), Some(phi));
             }
+            assert_eq!(node_major_observer(c, observers), None);
             for (i, phi) in std.iter().enumerate() {
                 assert_eq!(location_major_index(c, phi), Some(i as u64));
             }
@@ -352,7 +357,7 @@ mod tests {
             });
             for &o in &alphabet {
                 let aug = c.augment(o);
-                let (observers, block) = node_major_shape(&aug);
+                let (observers, block) = (count_observers(&aug) as u64, node_major_block(&aug));
                 let mut pos = 0u64;
                 let _ = for_each_observer_node_major(&aug, |phi2| {
                     let b = (pos / block) as usize;

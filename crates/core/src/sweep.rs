@@ -49,6 +49,7 @@ use ccmm_dag::poset::{count_posets_fast, for_each_poset_indexed};
 use ccmm_dag::Dag;
 use crossbeam::deque::{Injector, Steal};
 use std::ops::ControlFlow;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How a sweep is parallelised and enumerated.
@@ -140,9 +141,9 @@ pub(crate) fn materialize(u: &Universe, canonical: bool) -> Vec<Task> {
     let mut base = 0usize;
     for n in 0..=u.max_nodes {
         if canonical {
-            for_each_canonical_poset(n, |idx, dag, info| {
-                tasks.push(Task { idx: base + idx, size: n, weight: info.orbit, dag: dag.clone() });
-            });
+            for (idx, weight, dag) in canonical_posets(n).iter() {
+                tasks.push(Task { idx: base + idx, size: n, weight: *weight, dag: dag.clone() });
+            }
         } else {
             for_each_poset_indexed(n, |idx, dag| {
                 tasks.push(Task { idx: base + idx, size: n, weight: 1, dag: dag.clone() });
@@ -151,6 +152,24 @@ pub(crate) fn materialize(u: &Universe, canonical: bool) -> Vec<Task> {
         base += count_posets_fast(n) as usize;
     }
     tasks
+}
+
+type Posets = Arc<Vec<(usize, u64, Dag)>>;
+
+/// Canonical `n`-node posets as `(index, orbit, dag)`, listed once per
+/// process and shared by every canonical phase of a run.
+fn canonical_posets(n: usize) -> Posets {
+    static CACHE: Mutex<Vec<Posets>> = Mutex::new(Vec::new());
+    // A panic mid-listing pushes nothing, so a poisoned cache is valid.
+    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    while cache.len() <= n {
+        let mut posets = Vec::new();
+        for_each_canonical_poset(cache.len(), |i, dag, info| {
+            posets.push((i, info.orbit, dag.clone()))
+        });
+        cache.push(Arc::new(posets));
+    }
+    Arc::clone(&cache[n])
 }
 
 /// Per-worker labelling state: one reusable [`Computation`] retargeted per

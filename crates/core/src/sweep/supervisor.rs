@@ -42,7 +42,7 @@
 //! The engine ([`run_supervised`]) is generic over its work [`Unit`], so
 //! `ccmm stress` runs it too, over iteration indices. Its pieces are
 //! public for the loops that are not queues of independent units
-//! (`ccmm watch`'s stream, the Δ* initial passes): [`retry_once`] (the
+//! (`ccmm watch`'s stream, the Δ* census checks): [`retry_once`] (the
 //! retry-once-then-quarantine rule), [`Cadence`] (the checkpoint
 //! cadence) and [`SweepStatus::of`] (the status rule).
 
@@ -51,9 +51,9 @@ use super::{
 };
 use crate::ckpt::{get_u64, put_u64, CkptWriter};
 use crate::computation::Computation;
-use crate::constructible::lanes::block_empty;
+use crate::constructible::lanes::{block_empty, member_mask};
 use crate::enumerate::{
-    for_each_observer, for_each_observer_node_major, location_major_index, node_major_shape,
+    for_each_observer, for_each_observer_node_major, location_major_index, node_major_block,
 };
 use crate::fault::{payload_string, FaultPlan};
 use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
@@ -1234,7 +1234,7 @@ pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
     // observer function is a member.
     let member_mask = |c: &Computation, x: &mut <Lane64 as Kernel>::Scratch| {
         let mut mask = Vec::new();
-        Lane64.words(std::slice::from_ref(model), c, x, true, |w| mask.push(w.verdicts[0]));
+        member_mask(Lane64, model, c, x, &mut mask);
         mask
     };
     let scan = |c: &Computation, x: &mut <Lane64 as Kernel>::Scratch| {
@@ -1249,7 +1249,7 @@ pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
             .iter()
             .map(|&op| {
                 let aug = c.augment(op);
-                let (_, block) = node_major_shape(&aug);
+                let block = node_major_block(&aug);
                 (op, member_mask(&aug, x), aug, block)
             })
             .collect();

@@ -93,16 +93,15 @@ pub enum Counter {
     /// Lane kernels that aborted early because every valid lane was
     /// already dead (violation or infeasibility on all of them).
     LaneEarlyExits,
-    /// Survivor-mask words materialised or rescanned by the lane Δ*
-    /// fixpoint (Stage A mask words written plus cascade block words
-    /// examined). Deterministic: a pure function of the universe, the
-    /// model, and the bound.
+    /// Member-mask words the Δ* fixpoint builds (census and cascade) plus
+    /// the extension-block words it examines. Deterministic: a pure
+    /// function of the universe, the model, and the bound.
     LaneFixpointWords,
-    /// Survivor bits cleared by the lane fixpoint's masked deletions
-    /// (equals the fixpoint's `deleted` total). Deterministic.
+    /// Pairs the Δ* fixpoint deletes, seeds included (equals its
+    /// `deleted` total). Deterministic.
     LaneDeletionsMasked,
-    /// Final survivor-set population (surviving (C, Φ) bits) reported
-    /// once when the lane fixpoint converges. Deterministic.
+    /// Final survivor count (surviving (C, Φ) pairs) reported once when
+    /// the Δ* fixpoint converges. Deterministic.
     LaneSurvivorPop,
     /// Steal attempts made by idle workers of the threaded BACKER
     /// executor (one per deque/injector probe). Timing-dependent by

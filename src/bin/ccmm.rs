@@ -682,7 +682,7 @@ impl Gate {
 }
 
 fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
-    use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
+    use ccmm::core::constructible::lanes::{decode_census_snapshot, LaneConstructible};
     use ccmm::core::fault::FaultPlan;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
@@ -690,7 +690,7 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     };
     use ccmm::core::sweep::SweepConfig;
     use ccmm::core::universe::Universe;
-    use ccmm::core::{ckpt, Nn};
+    use ccmm::core::Nn;
     use ccmm_bench::report::emit;
 
     let mut bound = 4usize;
@@ -732,9 +732,9 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
              through --bound 6 and the memberships phase alone beyond"
         ));
     }
-    // The lane engine's mask representation keeps the Δ* fixpoint and
-    // constructibility phases within budget through bound 6; beyond that
-    // only the lane-parallel memberships phase is.
+    // The lane engine keeps the Δ* fixpoint and constructibility phases
+    // within budget through bound 6; beyond that only the lane-parallel
+    // memberships phase is.
     let memberships_only = bound > 6;
     let sup = Supervisor::with_fault(fault);
     let threads = threads.unwrap_or_else(|| SweepConfig::from_env().threads);
@@ -745,7 +745,7 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
         (false, false) => "labelled",
     };
     // The scalar engine's fixpoint keeps its historical `worklist` label
-    // (and bench key): Stage B of the mask fixpoint is a worklist cascade.
+    // (and bench key): the fixpoint ends in a worklist cascade.
     let fix_engine = if lane { "lane64" } else { "worklist" };
     let u = Universe::new(bound, locs);
 
@@ -873,21 +873,20 @@ fn cmd_sweep(args: &[String], bench_json: &str) -> Result<u8, String> {
     print_lattice("  ", &lattice);
     records.push(record("cli_sweep/lattice", engine, wall, 0, 0, lattice_status));
 
-    // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
-    // necessity — survivor masks are keyed by concrete computations), then
-    // the one-step augmentation check for every model. The fixpoint
-    // checkpoints to its own journal (`<path>.fixpoint`) beside the
-    // memberships journal: the fingerprint is engine-free because the mask
-    // bits are identical under either Stage-A kernel, so a fixpoint
-    // journal written by one engine resumes under the other.
+    // Phase 3: constructibility. The NN Δ* fixpoint (a canonical census
+    // of NN's dead ends, then a labelled cascade from them) and the
+    // one-step augmentation check for every model. The census journals
+    // to `<path>.fixpoint` beside the memberships journal, under an
+    // engine-free fingerprint: both kernels journal identical snapshots.
+    // v2 journals census snapshots; a v1 survivor-mask journal is refused.
     let nn = Nn::default();
-    let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
+    let fix_fingerprint = format!("ccmm-fixpoint-v2 bound={bound} locs={locs} model=nn");
     let fix_journal = run.journal.as_ref().map(|(base, resuming)| {
         let path = format!("{base}.fixpoint");
         let resuming = *resuming && std::path::Path::new(&path).exists();
         (path, resuming)
     });
-    let decode = |loaded: &ckpt::Checkpoint| decode_masks_journal(loaded).map(Some);
+    let decode = latest(decode_census_snapshot);
     let (mut fix_writer, fix_resume) =
         open_journal("fixpoint checkpoint", &fix_journal, &fix_fingerprint, decode)?;
     if let (Some((path, _)), Some((f, _))) = (&fix_journal, &fix_resume) {
@@ -1010,9 +1009,9 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     // agree with 64× contains_with over the exhaustive sweep plus random
     // partial packings.
     let (lanes, _) = tel.timed("lane-differential", || ccmm::conformance::run_lanes(&cfg));
-    // The fixpoint differential pins the Δ* engine (survivor masks, both
-    // Stage-A kernels) to the naïve re-scan, and the lane
-    // constructibility search to the scalar scan one bound up.
+    // The fixpoint differential pins the Δ* engine (every model, both
+    // kernels) to the naïve re-scan, and the lane constructibility
+    // search to the scalar scan one bound up.
     let (fix, _) = tel.timed("fixpoint-differential", || ccmm::conformance::run_fixpoint(&cfg));
     // The serve differential drives the same pair sources through the
     // full wire pipeline (frame → parse → cached handler → reply) and

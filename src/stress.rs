@@ -36,6 +36,7 @@ use ccmm_core::sweep::supervisor::{self, CkptSink, Frontier, Supervised, SweepSt
 use ccmm_core::{ckpt, Computation, Lc, Location, MemoryModel, ObserverFunction, Op, Sc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::time::Duration;
 
@@ -173,8 +174,11 @@ pub struct StressTally {
     pub checks: u64,
     /// Conformance failures (the run stops at the first).
     pub failures: Vec<Failure>,
-    /// Distinct observers seen from the threaded leg — timing-dependent.
+    /// Distinct observers seen from the threaded leg, in first-seen order
+    /// — timing-dependent.
     pub distinct_observers: Vec<ObserverFunction>,
+    /// The set behind `distinct_observers`' deduplication.
+    seen: HashSet<ObserverFunction>,
     /// Threaded-leg observers that were also SC — timing-dependent.
     pub sc_member: u64,
     /// Threaded-leg observers SC-checked — timing-dependent.
@@ -188,7 +192,7 @@ impl StressTally {
         self.sc_member += delta.sc_member;
         self.sc_checked += delta.sc_checked;
         for phi in delta.distinct_observers {
-            if !self.distinct_observers.contains(&phi) {
+            if self.seen.insert(phi.clone()) {
                 self.distinct_observers.push(phi);
             }
         }
@@ -219,15 +223,16 @@ pub fn iter_seed(seed: u64, iteration: usize) -> u64 {
     }
 }
 
+/// The Cilk conformance workloads, built once per run.
+type Fixed = [(&'static str, Computation)];
+
 /// The deterministic workload pool. Fixed shapes come first (they pin
 /// the executor's fork/join and chain paths); the rest of the index
 /// space draws random computations from the iteration seed.
-fn workload_for(iter_seed: u64) -> (String, Computation) {
-    let fixed = ccmm_cilk::programs::conformance_workloads();
+fn workload_for(fixed: &Fixed, iter_seed: u64) -> (String, Computation) {
     let pick = (iter_seed % (fixed.len() as u64 + 3)) as usize;
-    if pick < fixed.len() {
-        let (name, c) = fixed.into_iter().nth(pick).expect("pick < len");
-        return (name.to_string(), c);
+    if let Some((name, c)) = fixed.get(pick) {
+        return (name.to_string(), c.clone());
     }
     match pick - fixed.len() {
         0 => {
@@ -296,9 +301,9 @@ fn check_observer(
 
 /// Runs one iteration: the threaded leg (every time) and the simulator
 /// leg (on `harvest_every` boundaries).
-fn run_iteration(cfg: &StressConfig, iteration: usize) -> StressTally {
+fn run_iteration(cfg: &StressConfig, fixed: &Fixed, iteration: usize) -> StressTally {
     let seed = iter_seed(cfg.seed, iteration);
-    let (workload, c) = workload_for(seed);
+    let (workload, c) = workload_for(fixed, seed);
     let plan = cfg.perturb.clone().with_seed(seed);
     let backer = BackerConfig::with_processors(cfg.threads)
         .cache_capacity(cfg.cache_lines.max(1))
@@ -377,6 +382,7 @@ pub fn run_supervised(
     let (frontier, checks) = resume.unwrap_or_default();
     let encode = |tally: &StressTally, f: &Frontier| encode_snapshot(f, tally.checks);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
+    let fixed = ccmm_cilk::programs::conformance_workloads();
     supervisor::run_supervised(
         (0..cfg.iters).collect(),
         1,
@@ -386,7 +392,7 @@ pub fn run_supervised(
         StressTally { checks, ..StressTally::default() },
         sink,
         || (),
-        |&i, _| run_iteration(cfg, i),
+        |&i, _| run_iteration(cfg, &fixed, i),
         |tally, delta, _| tally.merge(delta),
     )
 }
@@ -413,7 +419,7 @@ pub fn self_test(threads: usize) -> Result<(), String> {
         return Err("self-test: shrunk trace is empty".into());
     }
     // The failure must reproduce from its reported seed alone.
-    let (_, c) = workload_for(f.seed);
+    let (_, c) = workload_for(&ccmm_cilk::programs::conformance_workloads(), f.seed);
     let backer = BackerConfig::with_processors(threads)
         .cache_capacity(cfg.cache_lines.max(1))
         .faults(Mutation::SkipReconcile.faults());

@@ -369,16 +369,34 @@ fn sweep_lane64_gate_compares_same_engine_baselines_only() {
     let out =
         cmd.args(["--bound", "3", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(5), "scalar baseline must not satisfy a lane64 gate");
-    // Once a lane64 baseline exists, the lane64 gate is live.
+    // Once a lane64 baseline exists, the lane64 gate is live. The test
+    // writes that baseline itself, at 1 pair/s for every gated phase, so
+    // the comparison is deterministic: a fresh run's millisecond-scale
+    // debug timings can never fall 2x below it.
+    let baseline: Vec<String> = ["memberships", "nnstar_worklist", "constructibility"]
+        .iter()
+        .map(|phase| {
+            format!(
+                "{{\"experiment\": \"cli_sweep/{phase}\", \"engine\": \"lane64\", \
+                 \"max_nodes\": 3, \"num_locations\": 1, \"universe_computations\": 0, \
+                 \"threads\": 1, \"wall_ms\": 1.0, \"pairs_checked\": 1, \
+                 \"pairs_per_sec\": 1.0, \"fixpoint_passes\": 0}}"
+            )
+        })
+        .collect();
+    std::fs::write(&json, format!("[{}]", baseline.join(","))).unwrap();
     let mut cmd = bin();
     cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out = cmd.args(["--bound", "3", "--canonical", "--engine", "lane64"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let mut cmd = bin();
-    cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out =
-        cmd.args(["--bound", "3", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
+    let out = cmd
+        .args(["--bound", "3", "--canonical", "--engine", "lane64", "--threads", "1", "--gate"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for tag in ["", "[cli_sweep/nnstar_worklist]", "[cli_sweep/constructibility]"] {
+        assert!(stdout.contains(&format!("gate{tag}: ")), "{tag} gate line missing: {stdout}");
+    }
+    assert!(stdout.contains("vs baseline 1 (threshold "), "{stdout}");
     let _ = std::fs::remove_file(&json);
 }
 

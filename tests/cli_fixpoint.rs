@@ -97,3 +97,29 @@ fn sweep_fixpoint_quarantine_is_deterministic_across_runs_and_engines() {
     assert_eq!(quarantined_run("scalar"), first);
     assert_eq!(quarantined_run("lane64"), first);
 }
+
+#[test]
+fn sweep_refuses_to_resume_a_v1_fixpoint_journal() {
+    // A v1 journal holds survivor-mask records. Resuming one must fail on
+    // its fingerprint, before any record is decoded as a census snapshot.
+    let ckpt = std::env::temp_dir().join(format!("ccmm-fix-v1-{}", std::process::id()));
+    let fix = ckpt.with_extension("fixpoint");
+    let shape = ["--bound", "4", "--canonical", "--threads", "2"];
+    let (mut cmd, json1) = sweep_cmd("v1-ckpt");
+    let out = cmd.args(shape).arg("--ckpt").arg(&ckpt).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut v1 =
+        ccmm::core::ckpt::CkptWriter::create(&fix, "ccmm-fixpoint-v1 bound=4 locs=1 model=nn")
+            .expect("create a v1 journal");
+    v1.append(&[0u8; 24]).expect("append a v1 record");
+    drop(v1);
+    let (mut cmd, json2) = sweep_cmd("v1-resume");
+    let out = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
+    for p in [&ckpt, &fix, &json1, &json2] {
+        let _ = std::fs::remove_file(p);
+    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "a refused journal is a usage error: {stderr}");
+    assert!(stderr.contains("fixpoint checkpoint fingerprint mismatch"), "{stderr}");
+    assert!(stderr.contains("ccmm-fixpoint-v1"), "{stderr}");
+}
