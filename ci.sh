@@ -290,7 +290,9 @@ for f in "$scratch/metrics-1.json" "$scratch/lane-metrics-1.json"; do
 done
 echo "== watch smoke: streaming LC check, deadline kill + replay resume, gate =="
 # A fib:16 trace streams clean through the lean BACKER executor with the
-# on-the-fly checker (exit 0, zero streaming-vs-batch divergences); a
+# on-the-fly checker (exit 0, zero streaming-vs-batch divergences), and so
+# do matmul:8 and stencil:32,32, so all three trace families go through
+# the flat edge store; a
 # skip-reconcile run must detect the LC violation (exit 1, batch still
 # agreeing on every sampled prefix); a zero-deadline run exits 4 with a
 # node frontier and its journal resumes to verdicts bit-identical to the
@@ -300,6 +302,13 @@ ccmm watch --workload fib:16 > "$scratch/watch-clean.out" \
     || { cat "$scratch/watch-clean.out"; echo "watch clean run failed"; exit 1; }
 grep -q "valid true | SC true | LC true" "$scratch/watch-clean.out"
 grep -q " 0 divergence(s)" "$scratch/watch-clean.out"
+for spec in matmul:8 stencil:32,32; do
+    out="$scratch/watch-${spec//[:,]/-}.out"
+    ccmm watch --workload "$spec" > "$out" \
+        || { cat "$out"; echo "watch $spec clean run failed"; exit 1; }
+    grep -q "valid true | SC true | LC true" "$out"
+    grep -q " 0 divergence(s)" "$out"
+done
 rc=0
 ccmm watch --workload fib:12 --fault skip-reconcile --sample-every 2 \
     > "$scratch/watch-fault.out" 2>/dev/null || rc=$?

@@ -16,16 +16,17 @@
 //!   schedule of n entries.
 //!
 //! The nodes are executed in creation order, which is a topological order
-//! for builder-produced traces (every edge points forward). Faults from
-//! [`crate::config::FaultInjection`] apply as in the dense simulator, so
-//! `watch --fault` can stream genuine LC violations.
+//! for builder-produced traces: the [`FlatDag`] they are stored in accepts
+//! only forward edges. Faults from [`crate::config::FaultInjection`] apply
+//! as in the dense simulator, so `watch --fault` can stream genuine LC
+//! violations.
 
 use crate::cache::{CacheOps, LeanCache};
 use crate::config::BackerConfig;
 use crate::memory::{node_of, token_of, MainMemory};
 use crate::stats::Stats;
 use ccmm_core::Op;
-use ccmm_dag::{Dag, NodeId};
+use ccmm_dag::{FlatDag, NodeId};
 
 /// The processor that executes node `index` under a block-cyclic
 /// schedule: blocks of `block` consecutive nodes rotate over the
@@ -87,9 +88,8 @@ impl StreamRunner {
     /// location (the write itself for writes, the token fetched or hit
     /// for reads, `None` for nops). `None` once the trace is exhausted.
     ///
-    /// Panics if some edge into the node points backwards (creation
-    /// order must be topological) or `ops.len() != dag.node_count()`.
-    pub fn step(&mut self, dag: &Dag, ops: &[Op]) -> Option<(NodeId, Op, Option<NodeId>)> {
+    /// Panics if `ops.len() != dag.node_count()`.
+    pub fn step(&mut self, dag: &FlatDag, ops: &[Op]) -> Option<(NodeId, Op, Option<NodeId>)> {
         assert_eq!(ops.len(), dag.node_count(), "one op per node");
         let i = self.next;
         if i >= ops.len() {
@@ -99,10 +99,10 @@ impl StreamRunner {
         let u = NodeId::new(i);
         let op = ops[i];
         let p = block_cyclic_proc(i, self.block, self.procs);
-        let cross_pred = dag.predecessors(u).iter().any(|&q| {
-            assert!(q.index() < i, "edge {q}→{u} points backwards");
-            block_cyclic_proc(q.index(), self.block, self.procs) != p
-        });
+        let cross_pred = dag
+            .predecessors(u)
+            .iter()
+            .any(|&q| block_cyclic_proc(q.index(), self.block, self.procs) != p);
         if cross_pred && !self.config.faults.skip_flush {
             self.caches[p].flush_all(&mut self.mem, &mut self.per_proc[p]);
         }
@@ -130,7 +130,7 @@ impl StreamRunner {
 /// after each node (see [`StreamRunner::step`]). Returns the merged
 /// protocol counters.
 pub fn run_stream<F>(
-    dag: &Dag,
+    dag: &FlatDag,
     ops: &[Op],
     num_locations: usize,
     config: &BackerConfig,

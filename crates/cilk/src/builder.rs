@@ -15,31 +15,37 @@
 //! * every function syncs implicitly before returning.
 
 use ccmm_core::{Computation, Location, Op};
-use ccmm_dag::{Dag, NodeId, SpOrder};
+use ccmm_dag::{FlatDag, NodeId, SpOrder};
 
 /// One entry of the builder's structural event log. Execution is
 /// depth-first (a `spawn` runs its child closure immediately), so the log
-/// is a properly nested stream: plain nodes, `Open`/`Close` brackets
-/// around each spawned child's block, and the sync node joining the
-/// blocks deferred since the last sync at that level.
+/// is a properly nested stream: plain nodes, one `Open` heading each
+/// spawned child's block, and the sync node joining the blocks deferred
+/// since the last sync at that level.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
     /// A sequential op node.
     Node(u32),
-    /// A spawned child block starts.
-    Open,
-    /// The spawned child block ends.
-    Close,
+    /// A spawned child block starts; holds the log index just past it.
+    Open(u32),
     /// A sync node joining the open blocks at this level.
     Sync(u32),
 }
 
-/// Accumulates nodes and edges while the program runs.
-#[derive(Default)]
+/// Accumulates nodes and edges while the program runs. Edges go straight
+/// into the predecessor half of a [`FlatDag`]: node `v`'s sorted
+/// predecessor run is `preds[pred_off[v]..pred_off[v + 1]]`.
 pub struct ProgramBuilder {
     ops: Vec<Op>,
-    edges: Vec<(usize, usize)>,
+    pred_off: Vec<u32>,
+    preds: Vec<NodeId>,
     events: Vec<Ev>,
+}
+
+impl Default for ProgramBuilder {
+    fn default() -> Self {
+        ProgramBuilder { ops: Vec::new(), pred_off: vec![0], preds: Vec::new(), events: Vec::new() }
+    }
 }
 
 /// The sequential position inside one function activation.
@@ -57,19 +63,19 @@ impl ProgramBuilder {
         Self::default()
     }
 
-    fn push(&mut self, op: Op, preds: &[NodeId]) -> NodeId {
+    fn push(&mut self, op: Op, preds: impl IntoIterator<Item = NodeId>) -> NodeId {
         let id = NodeId::new(self.ops.len());
         self.ops.push(op);
-        for p in preds {
-            self.edges.push((p.index(), id.index()));
-        }
+        let start = self.preds.len();
+        self.preds.extend(preds);
+        self.preds[start..].sort_unstable();
+        self.pred_off.push(u32::try_from(self.preds.len()).expect("edge count fits in u32"));
         id
     }
 
     /// Appends a sequential op to the strand.
     pub fn op(&mut self, s: &mut Strand, op: Op) -> NodeId {
-        let preds: Vec<NodeId> = s.cursor.into_iter().collect();
-        let id = self.push(op, &preds);
+        let id = self.push(op, s.cursor);
         self.events.push(Ev::Node(id.index() as u32));
         s.cursor = Some(id);
         id
@@ -98,11 +104,12 @@ impl ProgramBuilder {
         F: FnOnce(&mut ProgramBuilder, &mut Strand),
     {
         let mut child = Strand { cursor: s.cursor, children: Vec::new() };
-        self.events.push(Ev::Open);
+        let open = self.events.len();
+        self.events.push(Ev::Open(0));
         f(self, &mut child);
         // Implicit sync before the child returns.
         self.sync(&mut child);
-        self.events.push(Ev::Close);
+        self.events[open] = Ev::Open(u32::try_from(self.events.len()).expect("log fits in u32"));
         match child.cursor {
             // The child produced nodes (or a sync node): join it later.
             Some(last) if child.cursor != s.cursor => s.children.push(last),
@@ -117,9 +124,7 @@ impl ProgramBuilder {
         if s.children.is_empty() {
             return;
         }
-        let mut preds: Vec<NodeId> = s.cursor.into_iter().collect();
-        preds.append(&mut s.children);
-        let id = self.push(Op::Nop, &preds);
+        let id = self.push(Op::Nop, s.cursor.into_iter().chain(s.children.drain(..)));
         self.events.push(Ev::Sync(id.index() as u32));
         s.cursor = Some(id);
     }
@@ -127,24 +132,25 @@ impl ProgramBuilder {
     /// Finalises the program into a computation, syncing the root strand.
     pub fn finish(mut self, mut root: Strand) -> Computation {
         self.sync(&mut root);
-        let n = self.ops.len();
-        let dag = Dag::from_edges(n, &self.edges).expect("builder edges are acyclic");
-        Computation::new(dag, self.ops).expect("one op per node")
+        let dag = FlatDag::from_pred_runs(self.pred_off, self.preds).expect("edges point forward");
+        Computation::new(dag.to_dag(), self.ops).expect("one op per node")
     }
 
-    /// Finalises the program into a [`RawTrace`]: the dag, the ops, and
-    /// the Hebrew linear extension — but **no transitive closure and no
-    /// dense observer table**, so million-node programs stay O(n + e).
-    /// [`finish`](ProgramBuilder::finish) by contrast builds a
+    /// Finalises the program into a [`RawTrace`]: the flat dag, the ops,
+    /// and the Hebrew linear extension — but **no transitive closure and
+    /// no dense observer table**, so million-node programs stay
+    /// O(n + e). [`finish`](ProgramBuilder::finish) by contrast builds a
     /// [`Computation`], whose reachability bitsets are Θ(n²) bits.
     pub fn finish_raw(mut self, mut root: Strand) -> RawTrace {
         self.sync(&mut root);
-        let n = self.ops.len();
-        let hebrew = hebrew_ranks(&self.events, n);
-        let dag = Dag::from_edges(n, &self.edges).expect("builder edges are acyclic");
+        let ProgramBuilder { ops, pred_off, preds, events } = self;
+        let hebrew = hebrew_ranks(&events, ops.len());
+        // Free the log before the successor side is built.
+        drop(events);
+        let dag = FlatDag::from_pred_runs(pred_off, preds).expect("edges point forward");
         let num_locations =
-            self.ops.iter().filter_map(|o| o.location()).map(|l| l.index() + 1).max().unwrap_or(0);
-        RawTrace { dag, ops: self.ops, hebrew, num_locations }
+            ops.iter().filter_map(|o| o.location()).map(|l| l.index() + 1).max().unwrap_or(0);
+        RawTrace { dag, ops, hebrew, num_locations }
     }
 }
 
@@ -167,55 +173,53 @@ impl ProgramBuilder {
 /// pairs (one in `C`, one in `rest`) flip. The differential tests below
 /// check `SpOrder` against full reachability on every pair.
 fn hebrew_ranks(events: &[Ev], n: usize) -> Vec<u32> {
-    // Matching `Close` for each `Open` (the log is properly nested).
-    let mut matching = vec![0usize; events.len()];
-    let mut stack = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        match e {
-            Ev::Open => stack.push(i),
-            Ev::Close => {
-                let o = stack.pop().expect("Close without Open");
-                matching[o] = i;
-            }
-            _ => {}
-        }
+    /// Pending emission work, on an explicit stack: a log segment to
+    /// walk, or a sync node that waits for the blocks stacked above it.
+    enum Work {
+        Segment(u32, u32),
+        Sync(u32),
     }
-    debug_assert!(stack.is_empty(), "unclosed spawn block");
-    fn emit(events: &[Ev], lo: usize, hi: usize, matching: &[usize], out: &mut Vec<u32>) {
-        let mut deferred: Vec<(usize, usize)> = Vec::new();
-        let mut i = lo;
+    let mut rank = vec![0u32; n];
+    let mut next = 0u32;
+    let mut emit = |id: u32| {
+        rank[id as usize] = next;
+        next += 1;
+    };
+    let mut work = vec![Work::Segment(0, u32::try_from(events.len()).expect("log fits in u32"))];
+    let mut deferred: Vec<Work> = Vec::new();
+    while let Some(w) = work.pop() {
+        let (mut i, hi) = match w {
+            Work::Sync(id) => {
+                emit(id);
+                continue;
+            }
+            Work::Segment(lo, hi) => (lo, hi),
+        };
+        // Walk to the next sync or the segment's end, deferring child
+        // blocks. At a sync, its continuation and then the sync node go on
+        // the stack first, so the deferred blocks pushed next run before
+        // them, last-spawned first.
         while i < hi {
-            match events[i] {
-                Ev::Node(id) => out.push(id),
-                Ev::Open => {
-                    let close = matching[i];
-                    deferred.push((i + 1, close));
-                    i = close;
+            match events[i as usize] {
+                Ev::Node(id) => emit(id),
+                Ev::Open(end) => {
+                    deferred.push(Work::Segment(i + 1, end));
+                    i = end;
+                    continue;
                 }
-                Ev::Close => unreachable!("Close is always skipped via its Open"),
                 Ev::Sync(id) => {
-                    for &(a, b) in deferred.iter().rev() {
-                        emit(events, a, b, matching, out);
-                    }
-                    deferred.clear();
-                    out.push(id);
+                    work.push(Work::Segment(i + 1, hi));
+                    work.push(Work::Sync(id));
+                    break;
                 }
             }
             i += 1;
         }
-        // A strand can end with spawned-but-unsynced children only when
-        // they were empty; flush defensively all the same.
-        for &(a, b) in deferred.iter().rev() {
-            emit(events, a, b, matching, out);
-        }
+        // Blocks still deferred at a segment's end belong to empty
+        // children; they are pushed the same way.
+        work.append(&mut deferred);
     }
-    let mut order = Vec::with_capacity(n);
-    emit(events, 0, events.len(), &matching, &mut order);
-    debug_assert_eq!(order.len(), n, "hebrew order must visit every node once");
-    let mut rank = vec![0u32; n];
-    for (pos, id) in order.into_iter().enumerate() {
-        rank[id as usize] = pos as u32;
-    }
+    debug_assert_eq!(next as usize, n, "hebrew order must visit every node once");
     rank
 }
 
@@ -226,8 +230,9 @@ fn hebrew_ranks(events: &[Ev], n: usize) -> Vec<u32> {
 /// bitsets, no dense `L × n` observer table. This is the form `ccmm
 /// watch` harvests million-node programs in.
 pub struct RawTrace {
-    /// The computation dag; node creation order is a topological sort.
-    pub dag: Dag,
+    /// The computation dag in flat form; node creation order is a
+    /// topological sort (every edge points forward).
+    pub dag: FlatDag,
     /// One op per node, indexed by [`NodeId`].
     pub ops: Vec<Op>,
     /// Hebrew rank per node (creation order is the English rank).
@@ -244,14 +249,14 @@ impl RawTrace {
 
     /// The two-extension precedence oracle for this trace.
     pub fn sp_order(&self) -> SpOrder {
-        SpOrder::new(&self.dag, self.hebrew.clone())
+        SpOrder::new(self.node_count(), self.dag.edges(), self.hebrew.clone())
             .expect("builder creation/hebrew orders realize the dag")
     }
 
     /// Densifies into a [`Computation`] (Θ(n²) reachability — for
     /// small-scale cross-checks only).
     pub fn to_computation(&self) -> Computation {
-        Computation::new(self.dag.clone(), self.ops.clone()).expect("one op per node")
+        Computation::new(self.dag.to_dag(), self.ops.clone()).expect("one op per node")
     }
 }
 
@@ -393,7 +398,7 @@ mod tests {
     /// every node pair — soundness *and* completeness of the 2-realizer.
     fn assert_sp_order_matches_reachability(trace: &RawTrace, tag: &str) {
         let sp = trace.sp_order();
-        let reach = ccmm_dag::Reachability::new(&trace.dag);
+        let reach = ccmm_dag::Reachability::new(&trace.dag.to_dag());
         let n = trace.node_count();
         for u in 0..n {
             for v in 0..n {
@@ -475,6 +480,35 @@ mod tests {
                 continue; // keep the all-pairs check cheap
             }
             assert_sp_order_matches_reachability(&trace, &format!("random seed {seed}"));
+        }
+    }
+
+    /// The flat store must be exactly the `Dag` that `Dag::from_edges`
+    /// builds on the same edges: same runs on both sides, same edge count.
+    fn assert_flat_matches_dag(trace: &RawTrace, tag: &str) {
+        let flat = &trace.dag;
+        let edges: Vec<(usize, usize)> =
+            flat.edges().map(|(u, v)| (u.index(), v.index())).collect();
+        let dag = ccmm_dag::Dag::from_edges(trace.node_count(), &edges).expect(tag);
+        assert_eq!(flat.node_count(), dag.node_count(), "{tag}");
+        assert_eq!(flat.edge_count(), dag.edge_count(), "{tag}");
+        for u in dag.nodes() {
+            assert_eq!(flat.predecessors(u), dag.predecessors(u), "{tag}: predecessors of {u}");
+            assert_eq!(flat.successors(u), dag.successors(u), "{tag}: successors of {u}");
+        }
+    }
+
+    #[test]
+    fn flat_store_matches_dag_on_canonical_and_random_programs() {
+        for n in 2..=8 {
+            assert_flat_matches_dag(&crate::programs::fib::fib_trace(n), &format!("fib({n})"));
+        }
+        assert_flat_matches_dag(&crate::programs::matmul::matmul_trace(2), "matmul(2)");
+        assert_flat_matches_dag(&crate::programs::stencil::stencil_trace(3, 2), "stencil(3,2)");
+        for seed in 0..40u64 {
+            let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+            let trace = build_program_raw(|b, s| random_program(b, s, 3, &mut rng));
+            assert_flat_matches_dag(&trace, &format!("random seed {seed}"));
         }
     }
 

@@ -223,13 +223,13 @@ mod tests {
     fn chain_sp(k: usize) -> SpOrder {
         let edges: Vec<(usize, usize)> = (0..k.saturating_sub(1)).map(|i| (i, i + 1)).collect();
         let dag = Dag::from_edges(k, &edges).unwrap();
-        SpOrder::new(&dag, (0..k as u32).collect()).unwrap()
+        SpOrder::new(dag.node_count(), dag.edges(), (0..k as u32).collect()).unwrap()
     }
 
     /// The diamond 0 → {1, 2} → 3 (1 ∥ 2): hebrew reverses the branches.
     fn diamond_sp() -> SpOrder {
         let dag = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        SpOrder::new(&dag, vec![0, 2, 1, 3]).unwrap()
+        SpOrder::new(dag.node_count(), dag.edges(), vec![0, 2, 1, 3]).unwrap()
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod bitset;
 pub mod canon;
 pub mod dot;
 pub mod error;
+pub mod flat;
 pub mod generate;
 pub mod graph;
 pub mod metrics;
@@ -54,6 +55,7 @@ pub mod topo;
 
 pub use bitset::BitSet;
 pub use error::DagError;
+pub use flat::FlatDag;
 pub use graph::{Dag, NodeId};
 pub use reach::Reachability;
 pub use sp::{SpDag, SpExpr, SpOrder};

@@ -127,9 +127,13 @@ pub struct SpOrder {
 
 impl SpOrder {
     /// Wraps a Hebrew rank assignment, validating that the identity order
-    /// and `hebrew` are both linear extensions of `dag`.
-    pub fn new(dag: &Dag, hebrew: Vec<u32>) -> Result<SpOrder, String> {
-        let n = dag.node_count();
+    /// and `hebrew` are both linear extensions of the dag on `n` nodes
+    /// with the given `edges` (any dag representation can supply them).
+    pub fn new(
+        n: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+        hebrew: Vec<u32>,
+    ) -> Result<SpOrder, String> {
         if hebrew.len() != n {
             return Err(format!("hebrew rank has {} entries for {} nodes", hebrew.len(), n));
         }
@@ -141,7 +145,7 @@ impl SpOrder {
             }
             seen[r] = true;
         }
-        for (u, v) in dag.edges() {
+        for (u, v) in edges {
             if u.index() >= v.index() {
                 return Err(format!("edge {u} → {v} violates the creation (identity) order"));
             }
@@ -298,7 +302,7 @@ mod tests {
         // 0 forks to {1, 2}, joining at 3. Hebrew runs the later branch
         // first: 0, 2, 1, 3.
         let dag = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        let o = SpOrder::new(&dag, vec![0, 2, 1, 3]).unwrap();
+        let o = SpOrder::new(dag.node_count(), dag.edges(), vec![0, 2, 1, 3]).unwrap();
         let r = Reachability::new(&dag);
         for u in 0..4 {
             for v in 0..4 {
@@ -315,13 +319,13 @@ mod tests {
     fn sp_order_rejects_non_extensions() {
         let dag = Dag::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         // Wrong length.
-        assert!(SpOrder::new(&dag, vec![0, 1]).is_err());
+        assert!(SpOrder::new(dag.node_count(), dag.edges(), vec![0, 1]).is_err());
         // Not a permutation.
-        assert!(SpOrder::new(&dag, vec![0, 0, 1]).is_err());
+        assert!(SpOrder::new(dag.node_count(), dag.edges(), vec![0, 0, 1]).is_err());
         // Violates an edge.
-        assert!(SpOrder::new(&dag, vec![1, 0, 2]).is_err());
+        assert!(SpOrder::new(dag.node_count(), dag.edges(), vec![1, 0, 2]).is_err());
         // The chain itself is fine.
-        assert!(SpOrder::new(&dag, vec![0, 1, 2]).is_ok());
+        assert!(SpOrder::new(dag.node_count(), dag.edges(), vec![0, 1, 2]).is_ok());
     }
 
     #[test]

@@ -871,6 +871,67 @@ fn watch_streams_a_fib_trace_and_reports_lc() {
     let _ = std::fs::remove_file(&json);
 }
 
+/// Verdict, conformance and protocol lines of one watch run per trace
+/// family, pinned byte for byte: how the trace is stored must not change
+/// what the stream observes, decides or counts.
+#[test]
+fn watch_output_is_pinned_on_every_trace_family() {
+    let golden: &[(&[&str], i32, [&str; 3])] = &[
+        (
+            &["fib:20"],
+            0,
+            [
+                "streamed 54726/54726 node(s): valid true | SC true | LC true \
+                 (violations: 0 validity, 0 sc, 0 lc)",
+                "conformance: 3 sampled prefix(es), 0 divergence(s)",
+                "protocol: 9256 fetch(es), 21890 reconcile(s), 5705 flush(es), 28 eviction(s)",
+            ],
+        ),
+        (
+            &["matmul:16"],
+            0,
+            [
+                "streamed 18323/18323 node(s): valid true | SC true | LC true \
+                 (violations: 0 validity, 0 sc, 0 lc)",
+                "conformance: 3 sampled prefix(es), 0 divergence(s)",
+                "protocol: 11309 fetch(es), 4864 reconcile(s), 4409 flush(es), 224 eviction(s)",
+            ],
+        ),
+        (
+            &["stencil:64,64"],
+            0,
+            [
+                "streamed 16385/16385 node(s): valid true | SC true | LC true \
+                 (violations: 0 validity, 0 sc, 0 lc)",
+                "conformance: 3 sampled prefix(es), 0 divergence(s)",
+                "protocol: 10600 fetch(es), 4160 reconcile(s), 3901 flush(es), 380 eviction(s)",
+            ],
+        ),
+        (
+            &["fib:12", "--fault", "skip-reconcile", "--sample-every", "2"],
+            1,
+            [
+                "streamed 1161/1161 node(s): valid true | SC false | LC false \
+                 (violations: 0 validity, 122 sc, 122 lc)",
+                "conformance: 12 sampled prefix(es), 0 divergence(s)",
+                "protocol: 193 fetch(es), 449 reconcile(s), 118 flush(es), 0 eviction(s)",
+            ],
+        ),
+    ];
+    for (i, (args, code, want)) in golden.iter().enumerate() {
+        let (mut cmd, json) = watch_cmd(&format!("golden-{i}"));
+        let out = cmd.arg("--workload").args(*args).output().unwrap();
+        assert_eq!(out.status.code(), Some(*code), "{args:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let got: Vec<&str> = text
+            .lines()
+            .filter(|l| ["streamed ", "conformance:", "protocol:"].iter().any(|p| l.starts_with(p)))
+            .collect();
+        assert_eq!(got, want, "{args:?}: {text}");
+        let _ = std::fs::remove_file(&json);
+    }
+}
+
 #[test]
 fn watch_faulted_run_detects_the_lc_violation_with_batch_agreement() {
     let (mut cmd, json) = watch_cmd("fault");
