@@ -329,6 +329,28 @@ diff <(verdicts "$scratch/watch-clean.out") <(verdicts "$scratch/watch-resumed.o
 ccmm watch --workload fib:16 --gate > "$scratch/watch-gate.out" \
     || { cat "$scratch/watch-gate.out"; echo "watch gate failed"; exit 1; }
 grep -q "^gate: " "$scratch/watch-gate.out"
+# The same kill and resume on a faulted run: the replay's violation-count
+# check then compares non-zero counts, taken on the checker's stale-read
+# path, and the resumed verdicts must equal an uninterrupted faulted run's.
+# It runs after the gate so that no faulted fib:16 record can become the
+# gate's baseline.
+rc=0
+ccmm watch --workload fib:16 --fault skip-reconcile > "$scratch/watch-fault16.out" \
+    2>/dev/null || rc=$?
+[[ "$rc" == 1 ]] || { echo "expected faulted fib:16 watch exit 1, got $rc"; exit 1; }
+grep -q "LC false" "$scratch/watch-fault16.out"
+rc=0
+ccmm watch --workload fib:16 --fault skip-reconcile --deadline-secs 0 \
+    --ckpt "$scratch/watch-fault.ckpt" > "$scratch/watch-fault-part.out" 2>/dev/null || rc=$?
+[[ "$rc" == 4 ]] || { echo "expected faulted watch deadline exit 4, got $rc"; exit 1; }
+grep -qE "^streamed .*violations: 0 validity, [1-9][0-9]* sc" "$scratch/watch-fault-part.out" \
+    || { echo "the faulted partial watch journalled no violations"; exit 1; }
+rc=0
+ccmm watch --workload fib:16 --fault skip-reconcile --resume "$scratch/watch-fault.ckpt" \
+    > "$scratch/watch-fault-resumed.out" 2>/dev/null || rc=$?
+[[ "$rc" == 1 ]] || { echo "expected resumed faulted watch exit 1, got $rc"; exit 1; }
+diff <(verdicts "$scratch/watch-fault16.out") <(verdicts "$scratch/watch-fault-resumed.out") \
+    || { echo "resumed faulted watch verdicts differ from the uninterrupted run"; exit 1; }
 unset CCMM_BENCH_JSON
 
 echo "== serve smoke: faulted daemon, concurrent queries, graceful drain =="

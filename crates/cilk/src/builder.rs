@@ -16,6 +16,7 @@
 
 use ccmm_core::{Computation, Location, Op};
 use ccmm_dag::{FlatDag, NodeId, SpOrder};
+use std::sync::Arc;
 
 /// One entry of the builder's structural event log. Execution is
 /// depth-first (a `spawn` runs its child closure immediately), so the log
@@ -150,7 +151,7 @@ impl ProgramBuilder {
         let dag = FlatDag::from_pred_runs(pred_off, preds).expect("edges point forward");
         let num_locations =
             ops.iter().filter_map(|o| o.location()).map(|l| l.index() + 1).max().unwrap_or(0);
-        RawTrace { dag, ops, hebrew, num_locations }
+        RawTrace { dag, ops, hebrew: Arc::new(hebrew), num_locations }
     }
 }
 
@@ -235,8 +236,9 @@ pub struct RawTrace {
     pub dag: FlatDag,
     /// One op per node, indexed by [`NodeId`].
     pub ops: Vec<Op>,
-    /// Hebrew rank per node (creation order is the English rank).
-    pub hebrew: Vec<u32>,
+    /// Hebrew rank per node (creation order is the English rank), shared
+    /// with every [`SpOrder`] the trace hands out.
+    pub hebrew: Arc<Vec<u32>>,
     /// One more than the largest location index mentioned by any op.
     pub num_locations: usize,
 }
@@ -247,9 +249,10 @@ impl RawTrace {
         self.ops.len()
     }
 
-    /// The two-extension precedence oracle for this trace.
+    /// The two-extension precedence oracle for this trace. It shares the
+    /// trace's ranks (a pointer copy) and re-validates them on each call.
     pub fn sp_order(&self) -> SpOrder {
-        SpOrder::new(self.node_count(), self.dag.edges(), self.hebrew.clone())
+        SpOrder::new(self.node_count(), self.dag.edges(), Arc::clone(&self.hebrew))
             .expect("builder creation/hebrew orders realize the dag")
     }
 
@@ -534,7 +537,7 @@ mod tests {
         assert_eq!(trace.to_computation(), c);
         // Hebrew is a permutation of 0..n.
         let mut seen = vec![false; trace.node_count()];
-        for &h in &trace.hebrew {
+        for &h in trace.hebrew.iter() {
             assert!(!seen[h as usize]);
             seen[h as usize] = true;
         }

@@ -74,54 +74,6 @@ pub fn is_last_writer_function(c: &Computation, order: &[NodeId], phi: &Observer
     true
 }
 
-/// A streaming per-location last-writer index: the O(L)-space state that
-/// makes `W_T(l, ·)` answerable in O(1) while a computation is *revealed*
-/// in commit order, without materializing the dense L×n table that
-/// [`last_writer_function`] builds.
-///
-/// Feed it each node in the order `T` via [`observe`](Self::observe);
-/// [`last`](Self::last) then answers `W_T(l, u)` for the node `u` just
-/// observed (and, by Definition 13 convexity, for any later node until the
-/// next write to `l`). This is exactly the index the streaming `ccmm watch`
-/// checker uses to complete a harvested observer function to a full
-/// last-writer function on the fly.
-#[derive(Clone, Debug, Default)]
-pub struct LastWriterIndex {
-    last: Vec<Option<NodeId>>,
-}
-
-impl LastWriterIndex {
-    /// An empty index covering `num_locations` locations (all ⊥).
-    pub fn new(num_locations: usize) -> Self {
-        LastWriterIndex { last: vec![None; num_locations] }
-    }
-
-    /// Number of tracked locations.
-    pub fn num_locations(&self) -> usize {
-        self.last.len()
-    }
-
-    /// Feeds the next node of the commit order: a `W(l)` becomes the
-    /// current last writer of `l`; reads and nops change nothing. Grows
-    /// the location range on demand.
-    pub fn observe(&mut self, u: NodeId, op: Op) {
-        if let Op::Write(l) = op {
-            if l.index() >= self.last.len() {
-                self.last.resize(l.index() + 1, None);
-            }
-            self.last[l.index()] = Some(u);
-        }
-    }
-
-    /// The most recent write to `l` at or before the last observed node —
-    /// `W_T(l, u)` for the current frontier node `u`. `None` for
-    /// never-written (or out-of-range) locations.
-    #[inline]
-    pub fn last(&self, l: crate::op::Location) -> Option<NodeId> {
-        self.last.get(l.index()).copied().flatten()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,42 +177,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn streaming_index_agrees_with_dense_last_writer_function() {
-        // Feeding any topological sort through LastWriterIndex must answer
-        // W_T(l, u) identically to the dense table, at every step.
-        let c = Computation::from_edges(
-            5,
-            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
-            vec![Op::Write(l(0)), Op::Write(l(1)), Op::Write(l(0)), Op::Read(l(0)), Op::Read(l(1))],
-        );
-        for t in all_topo_sorts(c.dag()) {
-            let phi = last_writer_function(&c, &t);
-            let mut idx = LastWriterIndex::new(c.num_locations());
-            for &u in &t {
-                idx.observe(u, c.op(u));
-                for loc in c.locations() {
-                    assert_eq!(idx.last(loc), phi.get(loc, u), "T={t:?} u={u} l={loc}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_index_grows_locations_on_demand() {
-        let mut idx = LastWriterIndex::new(0);
-        assert_eq!(idx.num_locations(), 0);
-        assert_eq!(idx.last(l(3)), None);
-        idx.observe(n(0), Op::Write(l(3)));
-        assert_eq!(idx.num_locations(), 4);
-        assert_eq!(idx.last(l(3)), Some(n(0)));
-        assert_eq!(idx.last(l(0)), None);
-        idx.observe(n(1), Op::Read(l(3)));
-        assert_eq!(idx.last(l(3)), Some(n(0)));
-        idx.observe(n(2), Op::Write(l(3)));
-        assert_eq!(idx.last(l(3)), Some(n(2)));
     }
 
     #[test]

@@ -179,6 +179,12 @@ impl Frontier {
         Frontier::default()
     }
 
+    /// The frontier of a completed prefix: tasks `[0, n)`, as `n` calls
+    /// to [`insert`](Self::insert) would leave it.
+    pub fn prefix(n: usize) -> Self {
+        Frontier { ranges: if n == 0 { Vec::new() } else { vec![(0, n)] } }
+    }
+
     /// Marks task `idx` complete, coalescing adjacent ranges.
     pub fn insert(&mut self, idx: usize) {
         let i = self.ranges.partition_point(|&(_, end)| end < idx);
@@ -1330,6 +1336,22 @@ mod tests {
         }
         let mut r: &[u8] = &bad;
         assert!(Frontier::decode_from(&mut r).is_none());
+    }
+
+    #[test]
+    fn prefix_frontier_equals_inserting_every_index() {
+        for n in [0, 1, 2, 1000] {
+            let mut f = Frontier::new();
+            for i in 0..n {
+                f.insert(i);
+            }
+            let p = Frontier::prefix(n);
+            assert_eq!(p, f, "n = {n}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            p.encode_into(&mut a);
+            f.encode_into(&mut b);
+            assert_eq!(a, b, "n = {n}: journal bytes");
+        }
     }
 
     /// Sums unit indices `0..10` on one worker, breaking after `stop`.

@@ -8,6 +8,7 @@
 //! (memory operations) to leaves.
 
 use crate::graph::{Dag, NodeId};
+use std::sync::Arc;
 
 /// A series-parallel expression tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,26 +120,31 @@ impl SpExpr {
 /// exact — holds when the pair is a realizer, which the fork/join builder
 /// guarantees by construction and its tests pin differentially against
 /// [`crate::Reachability`].
+///
+/// The ranks sit behind an [`Arc`], so a trace that keeps its ranks can
+/// hand out oracles without copying 4 bytes per node each time.
 #[derive(Clone, Debug)]
 pub struct SpOrder {
     /// `hebrew[u]` = rank of node `u` in the second linear extension.
-    hebrew: Vec<u32>,
+    hebrew: Arc<Vec<u32>>,
 }
 
 impl SpOrder {
     /// Wraps a Hebrew rank assignment, validating that the identity order
     /// and `hebrew` are both linear extensions of the dag on `n` nodes
     /// with the given `edges` (any dag representation can supply them).
+    /// A `Vec` is moved into a fresh `Arc`, never copied.
     pub fn new(
         n: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
-        hebrew: Vec<u32>,
+        hebrew: impl Into<Arc<Vec<u32>>>,
     ) -> Result<SpOrder, String> {
+        let hebrew = hebrew.into();
         if hebrew.len() != n {
             return Err(format!("hebrew rank has {} entries for {} nodes", hebrew.len(), n));
         }
         let mut seen = vec![false; n];
-        for &r in &hebrew {
+        for &r in hebrew.iter() {
             let r = r as usize;
             if r >= n || seen[r] {
                 return Err(format!("hebrew rank is not a permutation of 0..{n}"));

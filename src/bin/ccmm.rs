@@ -1667,8 +1667,8 @@ USAGE:
                                            and check validity + SC/LC on the
                                            fly, race-detector style: one
                                            reveal per node via SP-order and
-                                           last-writer indices, no dense
-                                           closure. Every K-th commit inside
+                                           per-location write lists, no
+                                           dense closure. Every K-th commit inside
                                            the first --sample-cap nodes the
                                            prefix is densified and
                                            cross-checked against the exact

@@ -8,8 +8,8 @@
 //! by [`StreamRunner`] (occupancy-bounded caches, deterministic
 //! block-cyclic schedule), and every access is judged *as it commits* by
 //! [`StreamChecker`] against the SP-order oracle and per-location
-//! last-writer indices — O(degree)-ish per reveal, no transitive closure,
-//! no dense observer matrix.
+//! committed write lists — O(1) per commit on a race-free trace that
+//! passes, no transitive closure, no dense observer matrix.
 //!
 //! The per-access verdicts decide membership of the completed pair
 //! `(C, Φ̂)` (streamed observations completed by the commit-order
@@ -139,7 +139,7 @@ impl WatchConfig {
 
 /// The journalled state of an interrupted watch: where the stream
 /// stopped plus every deterministic counter. Protocol state (caches,
-/// main memory, last-writer indices) is deliberately absent — a resume
+/// main memory, the checker's write lists) is deliberately absent — a resume
 /// replays to `position` and re-derives it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WatchSnapshot {
@@ -410,10 +410,7 @@ pub fn run_supervised(
     let ckpt_error = journal.and_then(|cadence| cadence.error().map(str::to_string));
     let status =
         SweepStatus::of(killed, deadline_hit, !quarantined.is_empty() || ckpt_error.is_some());
-    let mut frontier = Frontier::new();
-    for i in 0..position {
-        frontier.insert(i);
-    }
+    let frontier = Frontier::prefix(position);
     let fresh = (position - snap.position) as u64;
     Ok(WatchReport {
         status,

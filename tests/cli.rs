@@ -917,6 +917,28 @@ fn watch_output_is_pinned_on_every_trace_family() {
                 "protocol: 193 fetch(es), 449 reconcile(s), 118 flush(es), 0 eviction(s)",
             ],
         ),
+        // Stale reads under both faults observe a write that is not the
+        // location's last, so the checker scans the suffix after it.
+        (
+            &["matmul:8", "--fault", "skip-flush"],
+            1,
+            [
+                "streamed 2387/2387 node(s): valid true | SC false | LC false \
+                 (violations: 0 validity, 8 sc, 8 lc)",
+                "conformance: 3 sampled prefix(es), 0 divergence(s)",
+                "protocol: 994 fetch(es), 704 reconcile(s), 0 flush(es), 1148 eviction(s)",
+            ],
+        ),
+        (
+            &["stencil:32,32", "--fault", "skip-reconcile", "--procs", "3"],
+            1,
+            [
+                "streamed 4097/4097 node(s): valid true | SC false | LC false \
+                 (violations: 0 validity, 11 sc, 11 lc)",
+                "conformance: 3 sampled prefix(es), 0 divergence(s)",
+                "protocol: 2502 fetch(es), 1051 reconcile(s), 911 flush(es), 80 eviction(s)",
+            ],
+        ),
     ];
     for (i, (args, code, want)) in golden.iter().enumerate() {
         let (mut cmd, json) = watch_cmd(&format!("golden-{i}"));
